@@ -1,10 +1,8 @@
 """Million-domain workload scale bench and memory-budget gate.
 
-The eager ``ClientPopulation`` spawns one live generator per client
-from t=0, which caps runs far below the domain counts where TTL/K
-policies get interesting.  The sharded population and the trace-driven
-source keep per-client state in flat arrays and per-session slots, so
-a 10^6-domain run holds memory roughly constant in *domains touched*,
+The closed population keeps each client's state in one slotted heap
+wake, and the trace-driven source keeps per-session slots, so a
+10^6-domain run holds memory roughly constant in *domains touched*,
 not domains configured.  This script proves it two ways:
 
 ``--record``
@@ -16,10 +14,10 @@ not domains configured.  This script proves it two ways:
 
 ``--check``
     CI smoke: a *truncated* 10^6-domain config (short duration, small
-    client count) under a hard tracemalloc budget.  An eager-spawn
-    regression — any path that materializes a per-domain or per-client
-    Python list at construction — blows the budget by an order of
-    magnitude, so it can never come back unnoticed.
+    client count) under a hard tracemalloc budget.  Any path that
+    materializes a per-domain Python list at construction blows the
+    budget by an order of magnitude, so it can never come back
+    unnoticed.
 
 Usage::
 
@@ -46,9 +44,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_FILE = REPO_ROOT / "BENCH_ENGINE.json"
 
 #: Hard tracemalloc budget for the truncated CI smoke, in MiB.  The
-#: lazy path peaks around 11 MiB at 10^6 domains / 2 000 clients; an
-#: eager population at the same scale allocates hundreds of MiB before
-#: the first event fires.
+#: streamed path peaks around 11 MiB at 10^6 domains / 2 000 clients;
+#: materializing per-domain lists at the same scale allocates far more
+#: before the first event fires.
 CHECK_TRACEMALLOC_MIB = 64.0
 
 #: Hard peak-RSS ceiling for the full --record runs, in MiB.
@@ -94,7 +92,6 @@ def synthetic_config(domains, clients, duration) -> SimulationConfig:
         policy="RR",
         domain_count=domains,
         total_clients=clients,
-        population="lazy",
         duration=duration,
         seed=5,
     )
@@ -134,7 +131,7 @@ def check(budget_mib: float) -> int:
         if peak > budget_mib:
             failures.append(
                 f"{label}: tracemalloc peak {peak} MiB exceeds the "
-                f"{budget_mib} MiB budget — an eager-spawn path is back"
+                f"{budget_mib} MiB budget — a materializing path is back"
             )
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)

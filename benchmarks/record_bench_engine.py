@@ -17,6 +17,18 @@ Usage::
 
     PYTHONPATH=src python benchmarks/record_bench_engine.py --label current
     PYTHONPATH=src python benchmarks/record_bench_engine.py --check
+    PYTHONPATH=src python benchmarks/record_bench_engine.py --population-parity PARENT_SRC
+
+``--population-parity`` times the closed population against an older
+tree's eager population with its native fast-forward clients
+(``PARENT_SRC`` is that tree's ``src`` directory, e.g. from ``git
+archive``). One long-lived worker process per tree runs the same cell;
+the script alternates them in :data:`PARITY_PAIRS` pairs within one
+run and requires identical result digests. It records the median and
+interquartile range of each side, whether the single population's
+median stays within the older path's interquartile range of its median,
+and the net number of ``src/`` lines between the trees, under
+``population_parity``.
 
 ``--check`` re-measures and fails (exit 1) if the sleep or switching
 throughput fell below ``--threshold`` (default 0.6) times the recorded
@@ -30,8 +42,11 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import pathlib
 import platform
+import statistics
+import subprocess
 import sys
 import time
 
@@ -149,6 +164,146 @@ def measure(repetitions: int) -> dict:
     return numbers
 
 
+#: Alternating pairs per parity series (at least ten, so a median and
+#: its interquartile range mean something on a noisy host).
+PARITY_PAIRS = 15
+
+#: The drain-parity cell: a 7200 s fig1 cell under fast-forward.
+PARITY_CELL = {
+    "policy": "DRR2-TTL/S_K", "heterogeneity": 20, "duration": 7200.0,
+    "seed": 1,
+}
+
+#: Fabric-like cells (reported, not gated): 60 s cells over the policies
+#: and heterogeneity levels of the fabric-grid benchmark, event engine.
+FABRIC_CELLS = [
+    {"policy": policy, "heterogeneity": level, "duration": 60.0, "seed": 1000}
+    for policy in ("RR", "DAL", "DRR2-TTL/S_K", "PRR-TTL/K")
+    for level in (20, 35, 50, 65)
+]
+
+#: One worker process: imports the tree at argv[1], then per stdin line
+#: runs the cells of argv[2] under engine mode argv[3] and prints
+#: ``[seconds, digest]``.
+_PARITY_WORKER = r"""
+import gc, hashlib, json, sys, time
+sys.path.insert(0, sys.argv[1])
+from repro.experiments.config import SimulationConfig
+from repro.experiments.simulation import run_simulation
+configs = [SimulationConfig(**cell) for cell in json.loads(sys.argv[2])]
+for _ in sys.stdin:
+    gc.collect()
+    gc.disable()
+    start = time.perf_counter()
+    results = [run_simulation(c, engine_mode=sys.argv[3]) for c in configs]
+    elapsed = time.perf_counter() - start
+    gc.enable()
+    payload = [[r.max_utilization_samples, r.total_hits, r.total_sessions,
+                r.dns_resolutions] for r in results]
+    digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+    print(json.dumps([elapsed, digest]), flush=True)
+"""
+
+
+def alternate_series(sides: dict, engine_mode: str) -> dict:
+    """Time each side's cells in alternating pairs, one worker per side.
+
+    ``sides`` maps a name to ``(src directory, cell dicts)``. Which side
+    runs first alternates between pairs; one warm-up run per side is
+    discarded. Exits if the sides' result digests differ.
+    """
+    workers = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", _PARITY_WORKER, str(src),
+             json.dumps(cells), engine_mode],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        for name, (src, cells) in sides.items()
+    }
+
+    def run(name):
+        worker = workers[name]
+        worker.stdin.write("\n")
+        worker.stdin.flush()
+        return json.loads(worker.stdout.readline())
+
+    names = list(sides)
+    times = {name: [] for name in names}
+    digests = set()
+    try:
+        for name in names:
+            digests.add(run(name)[1])
+        for index in range(PARITY_PAIRS):
+            for name in names if index % 2 == 0 else names[::-1]:
+                elapsed, digest = run(name)
+                times[name].append(elapsed)
+                digests.add(digest)
+    finally:
+        for worker in workers.values():
+            worker.stdin.close()
+            worker.wait()
+    if len(digests) != 1:
+        sys.exit(f"the trees' results differ: digests {sorted(digests)}")
+    series = {"pairs": PARITY_PAIRS, "engine_mode": engine_mode,
+              "result_digest": digests.pop()}
+    for name in names:
+        q1, median, q3 = statistics.quantiles(times[name], n=4)
+        series[name] = {
+            "seconds": [round(value, 4) for value in times[name]],
+            "median": round(median, 4),
+            "iqr": round(q3 - q1, 4),
+        }
+    return series
+
+
+def src_lines(src: pathlib.Path) -> int:
+    """Lines of Python under ``src/repro``."""
+    return sum(
+        len(path.read_text().splitlines())
+        for path in (src / "repro").rglob("*.py")
+    )
+
+
+def measure_population_parity(parent_src: pathlib.Path) -> dict:
+    """The single population vs an older tree's eager + native clients."""
+    current_src = REPO_ROOT / "src"
+    eager = {"population": "eager"}
+    fig1 = alternate_series(
+        {
+            "parent_eager_fluid": (parent_src, [{**PARITY_CELL, **eager}]),
+            "single_population": (current_src, [PARITY_CELL]),
+        },
+        "fastforward",
+    )
+    parent, single = fig1["parent_eager_fluid"], fig1["single_population"]
+    fig1["cell"] = PARITY_CELL
+    fig1["median_delta"] = round(single["median"] - parent["median"], 4)
+    fig1["within_parent_iqr"] = fig1["median_delta"] <= parent["iqr"]
+    fabric = alternate_series(
+        {
+            "parent_eager_event": (
+                parent_src, [{**cell, **eager} for cell in FABRIC_CELLS]
+            ),
+            "single_population": (current_src, FABRIC_CELLS),
+        },
+        "event",
+    )
+    fabric["cells"] = len(FABRIC_CELLS)
+    parent_lines, current_lines = src_lines(parent_src), src_lines(current_src)
+    return {
+        "fig1_cell_fastforward": fig1,
+        "fabric_cells_event": fabric,
+        "src_lines": {
+            "parent": parent_lines,
+            "current": current_lines,
+            "net_removed": parent_lines - current_lines,
+        },
+        "host_cpus": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "recorded_at": time.strftime("%Y-%m-%d"),
+    }
+
+
 def load_results() -> dict:
     if RESULTS_FILE.exists():
         return json.loads(RESULTS_FILE.read_text())
@@ -165,7 +320,22 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--repetitions", type=int, default=3)
     parser.add_argument("--threshold", type=float, default=0.6)
+    parser.add_argument(
+        "--population-parity",
+        type=pathlib.Path,
+        metavar="PARENT_SRC",
+        help="record the population parity series against this tree's src",
+    )
     args = parser.parse_args(argv)
+
+    if args.population_parity is not None:
+        numbers = measure_population_parity(args.population_parity)
+        print(json.dumps(numbers, indent=2))
+        results = load_results()
+        results["population_parity"] = numbers
+        RESULTS_FILE.write_text(json.dumps(results, indent=2) + "\n")
+        print(f"recorded 'population_parity' in {RESULTS_FILE}")
+        return 0
 
     numbers = measure(args.repetitions)
     print(json.dumps(numbers, indent=2))

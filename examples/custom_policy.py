@@ -31,7 +31,7 @@ from repro.dns import AuthoritativeDns, ResolutionChain
 from repro.experiments.metrics import MaxUtilizationCollector
 from repro.sim import Environment, RandomStreams
 from repro.web import AlarmProtocol, ServerCluster, UtilizationMonitor
-from repro.workload import ClientPopulation, DomainSet, SessionModel
+from repro.workload import DomainSet, SessionModel, ShardedClientPopulation
 
 
 class PowerOfTwoChoicesScheduler(Scheduler):
@@ -93,8 +93,8 @@ def run_custom(duration: float, heterogeneity: int = 35, seed: int = 11):
                            listener=state.set_alarm)
     UtilizationMonitor(env, cluster.servers, interval=32.0,
                        alarm_protocol=alarms, sample_sink=collector.sink)
-    ClientPopulation(env, cluster, chain, domains, SessionModel(), 500,
-                     streams)
+    ShardedClientPopulation(env, cluster, chain, domains, SessionModel(), 500,
+                            streams)
 
     env.run(until=duration)
     return collector.cdf()

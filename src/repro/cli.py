@@ -158,13 +158,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         "and network-RTT metrics)",
     )
     parser.add_argument(
-        "--population", choices=("auto", "eager", "lazy"), default="auto",
-        help="client-population implementation: 'eager' (one generator "
-        "process per client), 'lazy' (sharded flat-slot population; "
-        "bounded memory at large scale), or 'auto' (lazy at >= 100k "
-        "clients); all choices are bit-identical",
-    )
-    parser.add_argument(
         "--workload-source", choices=("synthetic", "trace"),
         default="synthetic",
         help="'synthetic' (closed client population, the paper's model) "
@@ -374,7 +367,6 @@ def _scenario_config(
         workload_error=args.error,
         estimator=args.estimator,
         geography=args.geography,
-        population=getattr(args, "population", "auto"),
         workload_source=getattr(args, "workload_source", "synthetic"),
         trace_profile=getattr(args, "trace_profile", "constant"),
         trace_rate=getattr(args, "trace_rate", 0.0),

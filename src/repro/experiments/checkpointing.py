@@ -274,6 +274,14 @@ def resume_run(
             "config_hash", checkpoint.config_hash, recorded_hash
         )
     config = config_from_dict(checkpoint.config)
+    # The config this build rebuilds must hash as recorded: a checkpoint
+    # whose config names a field this build dropped (or lacks one it
+    # added) is refused here, by name, before any replay.
+    rebuilt_hash = config_digest(config_to_dict(config))
+    if rebuilt_hash != checkpoint.config_hash:
+        raise CheckpointMismatchError(
+            "config_hash", checkpoint.config_hash, rebuilt_hash
+        )
     sim = Simulation(config, engine_mode=engine_mode)
     sim.advance(checkpoint.time)
     verify_checkpoint(sim, checkpoint)

@@ -38,16 +38,6 @@ PAPER_DURATION = 5 * 3600.0
 
 ESTIMATOR_KINDS = ("oracle", "measured", "window")
 
-#: Client-population implementations. ``"eager"`` spawns one generator
-#: process per client (the historical model); ``"lazy"`` is the sharded
-#: flat-slot population (:mod:`repro.workload.shards`) — bit-identical
-#: trajectories, bounded memory; ``"auto"`` picks lazy at or above
-#: :data:`LAZY_POPULATION_THRESHOLD` clients.
-POPULATION_KINDS = ("auto", "eager", "lazy")
-
-#: ``"auto"`` switches to the lazy population at this client count.
-LAZY_POPULATION_THRESHOLD = 100_000
-
 #: Workload sources: the closed synthetic population or the open
 #: trace-driven arrival process (:mod:`repro.workload.trace`).
 WORKLOAD_SOURCES = ("synthetic", "trace")
@@ -103,10 +93,6 @@ class SimulationConfig:
     #: TTL is valid (extension; the paper's base model resolves once per
     #: session through the domain NS only).
     client_address_caching: bool = False
-    #: Client-population implementation: ``"auto"``, ``"eager"`` or
-    #: ``"lazy"`` (see :data:`POPULATION_KINDS`). All choices produce
-    #: bit-identical trajectories; this only selects the data layout.
-    population: str = "auto"
     #: ``"synthetic"`` (closed population, the paper's model) or
     #: ``"trace"`` (open arrival process replaying a rate schedule).
     workload_source: str = "synthetic"
@@ -122,7 +108,7 @@ class SimulationConfig:
     trace_period: float = 3600.0
     #: JSONL rate-trace path (required by the ``"replay"`` profile).
     trace_path: Optional[str] = None
-    #: Clients per accounting shard of the lazy population (and target
+    #: Clients per accounting shard of the closed population (and target
     #: concurrent sessions per arrival shard of the trace source).
     shard_size: int = DEFAULT_SHARD_SIZE
 
@@ -247,11 +233,6 @@ class SimulationConfig:
                 )
         if self.hits_per_page[0] < 1 or self.hits_per_page[1] < self.hits_per_page[0]:
             raise ConfigurationError(f"bad hits_per_page {self.hits_per_page!r}")
-        if self.population not in POPULATION_KINDS:
-            raise ConfigurationError(
-                f"population must be one of {POPULATION_KINDS}, "
-                f"got {self.population!r}"
-            )
         if self.workload_source not in WORKLOAD_SOURCES:
             raise ConfigurationError(
                 f"workload_source must be one of {WORKLOAD_SOURCES}, "
@@ -323,16 +304,6 @@ class SimulationConfig:
         if self.uniform_domains:
             return factory.uniform(self.domain_count)
         return factory.pure_zipf(self.domain_count, self.zipf_exponent)
-
-    def effective_population(self) -> str:
-        """Resolve the ``population`` field (``"auto"`` included)."""
-        if self.population != "auto":
-            return self.population
-        return (
-            "lazy"
-            if self.total_clients >= LAZY_POPULATION_THRESHOLD
-            else "eager"
-        )
 
     @property
     def derived_trace_rate(self) -> float:

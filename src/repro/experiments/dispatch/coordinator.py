@@ -261,10 +261,17 @@ class Coordinator:
                 name="dispatch-worker-conn",
                 daemon=True,
             )
+            # Start before publishing, both under the lock: _shutdown
+            # joins every handler it snapshots, and joining a thread
+            # that was never started raises. A connection accepted
+            # after _shutdown began is closed instead of served.
             with self._lock:
+                if self._stop:
+                    connection.close()
+                    return
+                handler.start()
                 self._connections.append(connection)
                 self._handlers.append(handler)
-            handler.start()
 
     def _shutdown(self) -> None:
         """End the batch: tell every worker goodbye and drop the conns."""

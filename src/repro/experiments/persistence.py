@@ -30,6 +30,9 @@ PathLike = Union[str, pathlib.Path]
 
 _FORMAT_VERSION = 1
 
+#: Values of the removed ``SimulationConfig.population`` field.
+_FORMER_POPULATIONS = ("auto", "eager", "lazy")
+
 
 def config_to_dict(config: SimulationConfig) -> Dict[str, Any]:
     """A JSON-safe dict of a simulation config."""
@@ -39,8 +42,22 @@ def config_to_dict(config: SimulationConfig) -> Dict[str, Any]:
 
 
 def config_from_dict(data: Dict[str, Any]) -> SimulationConfig:
-    """Rebuild a :class:`SimulationConfig` saved by :func:`config_to_dict`."""
+    """Rebuild a :class:`SimulationConfig` saved by :func:`config_to_dict`.
+
+    Configs saved before the closed population became a single
+    implementation carry a ``population`` key naming one of the former
+    layouts, all bit-identical to today's; it is dropped. Any other
+    value is refused by name.
+    """
     kwargs = dict(data)
+    if "population" in kwargs:
+        population = kwargs.pop("population")
+        if population not in _FORMER_POPULATIONS:
+            raise ConfigurationError(
+                f"unknown population {population!r} in saved config; "
+                f"configs saved with 'population' must name one of "
+                f"{_FORMER_POPULATIONS}"
+            )
     if kwargs.get("relative_capacities") is not None:
         kwargs["relative_capacities"] = tuple(kwargs["relative_capacities"])
     if "hits_per_page" in kwargs:

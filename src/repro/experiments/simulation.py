@@ -27,7 +27,6 @@ from ..sim.fastforward import FastForwardEnvironment
 from ..sim.rng import RandomStreams
 from ..sim.tracing import NullTracer, Tracer
 from ..web.monitor import AlarmProtocol, UtilizationMonitor
-from ..workload.clients import ClientPopulation
 from ..workload.dynamics import RotatingHotDomains
 from ..workload.shards import ShardedClientPopulation
 from ..workload.trace import TraceDrivenPopulation
@@ -224,7 +223,7 @@ class Simulation:
                 metrics=self.metrics,
                 shard_size=config.shard_size,
             )
-        elif config.effective_population() == "lazy":
+        else:
             self.population = ShardedClientPopulation(
                 self.env,
                 self.cluster,
@@ -239,21 +238,6 @@ class Simulation:
                 layout=self.layout,
                 metrics=self.metrics,
                 shard_size=config.shard_size,
-            )
-        else:
-            self.population = ClientPopulation(
-                self.env,
-                self.cluster,
-                self.resolution_chain,
-                actual,
-                config.build_session_model(),
-                config.total_clients,
-                self.streams,
-                tracer=self.tracer,
-                dynamics=dynamics,
-                client_address_caching=config.client_address_caching,
-                layout=self.layout,
-                metrics=self.metrics,
             )
 
     @property
@@ -285,21 +269,16 @@ class Simulation:
     def workload_info(self) -> dict:
         """Provenance of the workload implementation actually in effect.
 
-        Names the population class, the workload source, and — for the
-        sharded/trace implementations — their shard accounting. Like
-        :attr:`engine_info`, deliberately outside the digested metrics
-        registry: all populations of one config are bit-identical (or,
-        for the trace source, a different config), so the choice must
-        not leak into digests or result comparisons.
+        Names the population class, the workload source and its shard
+        accounting. Like :attr:`engine_info`, deliberately outside the
+        digested metrics registry: the shard layout must not leak into
+        digests or result comparisons.
         """
-        info = {
+        return {
             "source": self.config.workload_source,
             "population": type(self.population).__name__,
+            "shards": self.population.shard_stats(),
         }
-        shard_stats = getattr(self.population, "shard_stats", None)
-        if shard_stats is not None:
-            info["shards"] = shard_stats()
-        return info
 
     def _domain_weight(self, domain_id: int) -> float:
         """Estimated hidden-load share of ``domain_id`` (trace payloads)."""

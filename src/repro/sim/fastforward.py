@@ -18,9 +18,9 @@ would make, in the same order, and (b) cannot observe or mutate
 scheduler/alarm/DNS decision state asynchronously — every such mutation
 in this codebase happens *inside* some dispatch, never between them.
 Model code opts a client shape in only when its whole per-wake body can
-be mirrored exactly (see :mod:`repro.workload.fluid` for the eligibility
-gate); everything else — monitor and estimator processes, condition
-events, interrupts — takes the reference dispatch path of
+be mirrored exactly (see :mod:`repro.workload.shards` for the
+eligibility gate); everything else — monitor and estimator processes,
+condition events, interrupts — takes the reference dispatch path of
 :meth:`~repro.sim.engine.Environment.run`, verbatim.
 
 Equivalence guarantee
@@ -38,13 +38,13 @@ Fallback
 --------
 Configurations a fluid task cannot mirror exactly (dynamic domain
 remapping, client-side address caching, geographic RTT accounting,
-non-standard session distributions) *fall back* to reference
-event-stepping inside the same environment: the model simply spawns its
-usual generator processes, and each fallback reason is counted in
-:attr:`FastForwardEnvironment.fallback_reasons`. The counters are
-surfaced through the run's provenance manifest — deliberately **not**
-through the digested metrics registry, so checkpoint digests and
-``repro report --compare`` stay mode-agnostic.
+non-standard session distributions) *fall back* to event-stepping
+inside the same environment: the model registers no task class, its
+entries take the reference dispatch path, and each fallback reason is
+counted in :attr:`FastForwardEnvironment.fallback_reasons`. The
+counters are surfaced through the run's provenance manifest —
+deliberately **not** through the digested metrics registry, so
+checkpoint digests and ``repro report --compare`` stay mode-agnostic.
 """
 
 from __future__ import annotations

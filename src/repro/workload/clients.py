@@ -1,4 +1,4 @@
-"""Client processes driving the simulated web site.
+"""The reference client population: one generator process per client.
 
 Each client runs an endless loop of sessions. A session starts with one
 address resolution through the client's domain name server (which may be
@@ -11,17 +11,20 @@ The population also maintains the statistic the paper repeatedly cites:
 the fraction of *data* requests the DNS directly controlled, i.e. hits
 belonging to sessions whose resolution actually reached the authoritative
 DNS (typically below a few percent — the crux of the scheduling problem).
+
+:class:`ClientPopulation` is the executable reference of that session
+loop. Runs build :class:`~repro.workload.shards.ShardedClientPopulation`,
+which mirrors :meth:`ClientPopulation._client` draw for draw; the
+equivalence suites run both and compare results and checkpoint digests.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..dns.resolver import ResolutionChain
 from ..errors import ConfigurationError
-from ..sim.fastforward import FastForwardEnvironment
 from ..sim.rng import RandomStreams
-from .fluid import FluidClient, fluid_fallback_reasons
 from ..sim.stats import RunningStats as _RttStats
 from ..sim.tracing import NullTracer
 from ..web.cluster import ServerCluster
@@ -31,7 +34,7 @@ from .sessions import SessionModel
 
 
 class ClientPopulation:
-    """Spawns and tracks all client processes.
+    """Spawns and tracks one generator process per client (the reference).
 
     Parameters
     ----------
@@ -64,6 +67,9 @@ class ClientPopulation:
         the address mapping is typically done at Name Servers and also at
         the clients"). Default ``False`` — one NS lookup per session, the
         paper's base model.
+    layout:
+        Optional geographic layout; when present, per-page network RTTs
+        are accumulated in :attr:`network_rtt_stats`.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`; the population
         registers pull callbacks for its session/page/hit totals.
@@ -150,36 +156,26 @@ class ClientPopulation:
             metrics.register(
                 "workload.client_cache_hits", lambda: self.client_cache_hits
             )
-        self.client_domains: List[int] = []
-        for domain_id, count in enumerate(domains.client_counts(total_clients)):
-            self.client_domains.extend([domain_id] * count)
-        #: ``"fluid"`` when the clients run as native fast-forward
-        #: steppers, ``"event"`` for reference generator processes.
+        #: ``"fluid"`` when the clients take the fast-forward lane,
+        #: ``"event"`` otherwise (see ``Simulation.engine_info``).
         self.engine = "event"
-        if isinstance(env, FastForwardEnvironment):
-            reasons = fluid_fallback_reasons(self)
-            if reasons:
-                # Ineligible for the fluid lane: count each reason and
-                # fall back to reference event-stepping (the fast-forward
-                # environment dispatches generators verbatim).
-                for reason in reasons:
-                    env.count_fallback(reason)
-            else:
-                self.engine = "fluid"
-        if self.engine == "fluid":
-            # Same spawn order, same eid consumption (one urgent init
-            # entry per client), same stagger/think/pages/hits draws —
-            # bit-identical to the generator path below.
-            env.register_task_class(FluidClient)
-            self.processes = [
-                FluidClient(env, self, client_id, domain_id)
-                for client_id, domain_id in enumerate(self.client_domains)
-            ]
-        else:
-            self.processes = [
-                env.process(self._client(client_id, domain_id))
-                for client_id, domain_id in enumerate(self.client_domains)
-            ]
+        self.processes = self._spawn()
+
+    def _spawn(self) -> list:
+        """Start every client, in client order; returns their processes.
+
+        Here one generator process per client, always event-stepped (a
+        fast-forward environment dispatches generators verbatim).
+        """
+        self.client_domains: List[int] = []
+        for domain_id, count in enumerate(
+            self.domains.client_counts(self.total_clients)
+        ):
+            self.client_domains.extend([domain_id] * count)
+        return [
+            self.env.process(self._client(client_id, domain_id))
+            for client_id, domain_id in enumerate(self.client_domains)
+        ]
 
     @property
     def dns_control_fraction(self) -> float:
@@ -296,6 +292,6 @@ class ClientPopulation:
 
     def __repr__(self) -> str:
         return (
-            f"<ClientPopulation clients={self.total_clients} "
+            f"<{type(self).__name__} clients={self.total_clients} "
             f"domains={self.domains.domain_count} hits={self.total_hits}>"
         )

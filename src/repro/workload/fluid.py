@@ -1,352 +1,7 @@
-"""Native fast-forward client stepper (the fluid lane of the workload).
+"""``FluidClient``: an alias of :class:`~repro.workload.shards.ShardClientWake`."""
 
-:class:`FluidClient` is the :class:`~repro.sim.fastforward.FluidTask`
-mirror of :meth:`ClientPopulation._client
-<repro.workload.clients.ClientPopulation._client>`: one heap entry per
-think-sleep, stepped natively instead of resuming a generator. Its
-:meth:`~FluidClient.drain` loop performs the byte-exact work of each
-generator wake — the same eid allocations, the same RNG draws from the same
-streams, the same float operations in the same order — so a fast-forward
-run is bit-identical to the reference engine (trajectory, checkpoint
-digests, results). The golden-trajectory fixture and the Hypothesis
-equivalence harness enforce that claim; any drift between this file and
-the generator (or :meth:`WebServer.offer
-<repro.web.server.WebServer.offer>`, inlined below) fails them as a
-trajectory diff.
+from .shards import ShardClientWake
 
-Where the speed comes from: per page cycle, the reference path pays a
-generator resume, a :class:`~repro.sim.events.Timeout` allocation plus
-factory frame, and three Python frames of ``random`` machinery
-(``randint`` → ``randrange`` → ``_randbelow``) plus one for
-``expovariate``. The native step replaces all of that with straight-line
-code over bound C primitives (``Random.random``,
-``Random.getrandbits``), replicating each wrapper's arithmetic exactly:
-
-* ``Exponential`` think times: ``-log(1.0 - random()) / lambd`` — the
-  body of ``random.Random.expovariate`` with the identical precomputed
-  ``lambd``;
-* ``DiscreteUniform`` hits: ``low + r`` with ``r`` drawn by the
-  ``getrandbits(width.bit_length())`` rejection loop of
-  ``Random._randbelow_with_getrandbits`` (consumption-exact, including
-  rejections);
-* ``Geometric`` pages: the inversion ``max(1, ceil(log(u) / log(1-p)))``
-  with the same guard draws as :meth:`Geometric.sample
-  <repro.sim.distributions.Geometric.sample>`.
-
-Eligibility (the fallback gate): :func:`fluid_fallback_reasons` names
-every feature of a population that the mirror above cannot express —
-each reason is counted on the environment and the population falls back
-to reference generator clients (inside the same fast-forward
-environment, which dispatches them through the reference branches).
-"""
-
-from __future__ import annotations
-
-from heapq import heappush, heapreplace
-from math import ceil as _ceil, log as _log
-from typing import List
-
-from ..errors import SimulationError
-from ..sim.distributions import DiscreteUniform, Exponential, Geometric
-from ..sim.events import _NORMAL_KEY
-from ..sim.fastforward import FluidTask
-
-__all__ = ["FluidClient", "fluid_fallback_reasons"]
-
-
-def fluid_fallback_reasons(population) -> List[str]:
-    """Why ``population`` cannot take the fluid lane (empty = eligible).
-
-    Each named feature would make :meth:`FluidClient.drain` diverge from
-    the reference generator, so its presence forces event-stepping:
-
-    ``dynamic-domains``
-        Domain remapping over time (``dynamics.is_static`` false).
-    ``client-address-caching``
-        Per-client cached address mappings with TTL validity checks.
-    ``geography``
-        Geographic layouts accumulate per-page network RTTs.
-    ``session-model``
-        Session distributions other than the exact
-        ``Geometric``/``DiscreteUniform``/``Exponential`` triple whose
-        RNG arithmetic the stepper inlines.
-    """
-    reasons = []
-    if not population.dynamics.is_static:
-        reasons.append("dynamic-domains")
-    if population.client_address_caching:
-        reasons.append("client-address-caching")
-    if population.layout is not None:
-        reasons.append("geography")
-    model = population.session_model
-    if not (
-        type(model.pages_per_session) is Geometric
-        and type(model.hits_per_page) is DiscreteUniform
-        and type(model.think_time) is Exponential
-    ):
-        reasons.append("session-model")
-    return reasons
-
-
-class FluidClient(FluidTask):
-    """One client's session loop as a native fast-forward stepper.
-
-    Mirrors ``ClientPopulation._client(client_id, home_domain)`` state
-    for state: construction consumes one eid for an urgent init entry
-    (exactly as :class:`~repro.sim.process._Initialize` does for a
-    generator client), the first step draws the stagger delay, and every
-    later step runs one page cycle — session start (DNS resolution,
-    pages draw, trace record) when no pages remain, then one page burst
-    and the next think-sleep.
-    """
-
-    __slots__ = (
-        "env",
-        "population",
-        "client_id",
-        "domain_id",
-        "chain",
-        "resolve",
-        "servers",
-        "tracing",
-        "trace_record",
-        "_stagger_rng",
-        "_think_mean",
-        "_think_random",
-        "_think_lambd",
-        "_hits_getrandbits",
-        "_hits_low",
-        "_hits_width",
-        "_hits_bits",
-        "_pages_random",
-        "_pages_log_q",
-        "_pages_degenerate",
-        "_remaining",
-        "_server",
-        "_resolved_by_dns",
-    )
-
-    def __init__(self, env, population, client_id: int, home_domain: int):
-        self.env = env
-        self.population = population
-        self.client_id = client_id
-        self.domain_id = home_domain
-        chain = population.resolution_chain
-        self.chain = chain
-        self.resolve = chain.resolve
-        self.servers = population.cluster.servers
-        tracer = population.tracer
-        self.tracing = tracer.enabled
-        self.trace_record = tracer.record
-        model = population.session_model
-        think = model.think_time
-        self._stagger_rng = population._stagger_rng
-        self._think_mean = think.mean
-        # Exponential.sampler binds expovariate with lambd = 1.0 / mean;
-        # the same division here keeps the inlined draw float-identical.
-        self._think_random = population._think_rng.random
-        self._think_lambd = 1.0 / think.mean
-        hits = model.hits_per_page
-        self._hits_getrandbits = population._hits_rng.getrandbits
-        self._hits_low = hits.low
-        self._hits_width = width = hits.high - hits.low + 1
-        self._hits_bits = width.bit_length()
-        pages = model.pages_per_session
-        self._pages_random = population._pages_rng.random
-        self._pages_degenerate = pages._p >= 1.0
-        self._pages_log_q = (
-            0.0 if self._pages_degenerate else _log(1.0 - pages._p)
-        )
-        # -1 = the init dispatch is still pending; 0 = session start due.
-        self._remaining = -1
-        self._server = None
-        self._resolved_by_dns = False
-        # Mirror _Initialize: one urgent entry at the current time,
-        # consuming the eid a generator client's spawn would consume
-        # (PRIORITY_URGENT is 0, so the fused heap key is the bare eid).
-        env._eid = eid = env._eid + 1
-        heappush(env._queue, (env._now + 0.0, eid, self))
-
-    @classmethod
-    def drain(cls, env, queue, target: float, budget: int = -1) -> None:
-        """Dispatch consecutive client wakes natively (the fluid lane).
-
-        Per wake: init, session start and/or one page cycle — every
-        line shadows a line of the reference client generator (or of
-        ``WebServer.offer``, inlined for the per-page fast path) — same
-        call order, same operand order. Change them together or the
-        equivalence suites fail. The loop keeps going while the heap
-        top is a :class:`FluidClient` entry due by ``target`` (and
-        ``budget`` wakes remain; see :meth:`FluidTask.drain` for the
-        heapreplace parity argument).
-        """
-        replace = heapreplace
-        ceil = _ceil
-        log = _log
-        # Population-shared state (RNG streams, session-model params,
-        # resolution chain — identical on every client of a population)
-        # is hoisted into locals on the first wake instead of loaded
-        # from the task per wake. Population counters accumulate in
-        # locals and flush on exit: within a drain window nothing else
-        # runs (quiescence), so every observer — monitor windows,
-        # checkpoint digests, results — sees the flushed values it
-        # would have seen under per-wake increments. Integer-only, so
-        # the deferred addition is parity-exact.
-        population = None
-        pages_acc = hits_acc = sessions_acc = routed_acc = 0
-        try:
-            while queue:
-                item = queue[0]
-                now = item[0]
-                if now > target:
-                    return
-                task = item[2]
-                if type(task) is not cls:
-                    return
-                p = task.population
-                if p is not population:
-                    if population is not None:  # pragma: no cover
-                        # A second population mid-drain: flush the first
-                        # one's counters before re-hoisting.
-                        population.total_pages += pages_acc
-                        population.total_hits += hits_acc
-                        population.total_sessions += sessions_acc
-                        population.dns_routed_hits += routed_acc
-                        pages_acc = hits_acc = sessions_acc = routed_acc = 0
-                    population = p
-                    chain = task.chain
-                    resolve = task.resolve
-                    servers = task.servers
-                    tracing = task.tracing
-                    trace_record = task.trace_record
-                    stagger_uniform = task._stagger_rng.uniform
-                    think_mean = task._think_mean
-                    think_random = task._think_random
-                    think_lambd = task._think_lambd
-                    hits_getrandbits = task._hits_getrandbits
-                    hits_low = task._hits_low
-                    hits_width = task._hits_width
-                    hits_bits = task._hits_bits
-                    pages_random = task._pages_random
-                    pages_log_q = task._pages_log_q
-                    pages_degenerate = task._pages_degenerate
-                remaining = task._remaining
-                if remaining > 0:
-                    server = task._server
-                    resolved_by_dns = task._resolved_by_dns
-                elif remaining == 0:
-                    # Session start: resolve, then draw the session length.
-                    before = chain.authoritative_answers
-                    record = resolve(task.domain_id, now, task.client_id)
-                    resolved_by_dns = chain.authoritative_answers > before
-                    server = servers[record.server_id]
-                    if pages_degenerate:
-                        remaining = 1
-                    else:
-                        u = pages_random()
-                        while u <= 0.0:  # pragma: no cover - random() in [0, 1)
-                            u = pages_random()
-                        remaining = ceil(log(u) / pages_log_q)
-                        if remaining < 1:
-                            remaining = 1
-                    sessions_acc += 1
-                    if tracing:
-                        trace_record(
-                            now,
-                            "session",
-                            {
-                                "client": task.client_id,
-                                "domain": task.domain_id,
-                                "server": record.server_id,
-                                "pages": remaining,
-                                "dns": resolved_by_dns,
-                            },
-                        )
-                    task._server = server
-                    task._resolved_by_dns = resolved_by_dns
-                else:
-                    # First dispatch (the _Initialize mirror): stagger the
-                    # session start across one mean think time.
-                    task._remaining = 0
-                    delay = stagger_uniform(0.0, think_mean)
-                    env._eid = eid = env._eid + 1
-                    replace(queue, (now + delay, _NORMAL_KEY | eid, task))
-                    budget -= 1
-                    if budget == 0:
-                        return
-                    continue
-                # One page cycle. Hits: randint(low, high) with the
-                # rejection loop of Random._randbelow_with_getrandbits,
-                # consumption-exact.
-                r = hits_getrandbits(hits_bits)
-                while r >= hits_width:
-                    r = hits_getrandbits(hits_bits)
-                hits = hits_low + r
-                # WebServer.offer, inlined (same checks, same op order).
-                if hits <= 0:
-                    raise SimulationError(
-                        f"a page burst must have >= 1 hit, got {hits!r}"
-                    )
-                last = server._last_update
-                if now < last:
-                    raise SimulationError(
-                        f"time went backwards: {now!r} < {last!r}"
-                    )
-                backlog = server._backlog
-                elapsed = now - last
-                busy = backlog if backlog <= elapsed else elapsed
-                backlog -= busy
-                server._busy_in_window += busy
-                server._last_update = now
-                service = hits / server.capacity
-                stats = server.response_times
-                sojourn = backlog + service
-                stats.count = count = stats.count + 1
-                delta = sojourn - stats._mean
-                stats._mean = mean = stats._mean + delta / count
-                stats._m2 += delta * (sojourn - mean)
-                if sojourn < stats.minimum:
-                    stats.minimum = sojourn
-                if sojourn > stats.maximum:
-                    stats.maximum = sojourn
-                server._backlog = backlog + service
-                server._hits_in_window += hits
-                server.total_hits += hits
-                server.total_pages += 1
-                domain_hits = server.domain_hits
-                domain_id = task.domain_id
-                # try/except beats dict.get on the hot path: the KeyError
-                # fires once per (server, domain) pair, then never again.
-                # Integer-only bookkeeping, so reordering vs the reference
-                # `.get` is parity-safe (no RNG, no float arithmetic).
-                try:
-                    domain_hits[domain_id] += hits
-                except KeyError:
-                    domain_hits[domain_id] = hits
-                # Population totals (the generator's per-page counter
-                # block) — accumulated, flushed on exit.
-                pages_acc += 1
-                hits_acc += hits
-                if resolved_by_dns:
-                    routed_acc += hits
-                task._remaining = remaining - 1
-                # Think-sleep: expovariate(lambd) inlined, then the
-                # timeout factory's eid/heap-key arithmetic.
-                delay = -log(1.0 - think_random()) / think_lambd
-                env._eid = eid = env._eid + 1
-                replace(queue, (now + delay, _NORMAL_KEY | eid, task))
-                budget -= 1
-                if budget == 0:
-                    return
-        finally:
-            if population is not None:
-                population.total_pages += pages_acc
-                population.total_hits += hits_acc
-                population.total_sessions += sessions_acc
-                population.dns_routed_hits += routed_acc
-
-    def __repr__(self) -> str:
-        return (
-            f"<FluidClient client={self.client_id} "
-            f"domain={self.domain_id} remaining={self._remaining}>"
-        )
+# Kept only for the traced benchmark (perfbench/layers.py imports this
+# name); remove together with that import in the next benchmark change.
+FluidClient = ShardClientWake

@@ -1,52 +1,72 @@
-"""Sharded lazy client population (flat-slot state, no generator frames).
+"""The closed client population (one reusable heap wake per client).
 
-:class:`ShardedClientPopulation` is the scale-oriented drop-in for
-:class:`~repro.workload.clients.ClientPopulation`: instead of one live
-generator process (frame + :class:`~repro.sim.process.Process` +
-per-yield :class:`~repro.sim.events.Timeout`) per client, every client is
-one reusable :class:`ShardClientWake` heap entry plus a handful of cells
-in flat ``array`` shards on the population. At 10^6 clients that replaces
-gigabytes of frame/process/event objects with a few hundred megabytes of
-packed state, which is what lets million-domain configurations run at all
-(see ``docs/PERFORMANCE.md``).
+:class:`ShardedClientPopulation` is the population every synthetic run
+builds, at any client count. Instead of one live generator process
+(frame + :class:`~repro.sim.process.Process` + per-yield
+:class:`~repro.sim.events.Timeout`) per client, every client is one
+reusable :class:`ShardClientWake` heap entry that carries its own
+session state in slots. At 10^6 clients that replaces gigabytes of
+frame/process/event objects with a few hundred megabytes, which is what
+lets million-domain configurations run at all (see
+``docs/PERFORMANCE.md``). Session counts are kept per *shard*, a
+logical range of client slots, for provenance.
 
 Bit-identical by construction
 -----------------------------
-The population mirrors the eager one draw for draw:
+The population mirrors the reference generator
+(:meth:`ClientPopulation._client
+<repro.workload.clients.ClientPopulation._client>`) draw for draw:
 
 * construction consumes one eid per client for an urgent init entry, in
   the same client order (exactly as ``env.process`` spawning does);
-* every wake draws from the *same* population-shared RNG streams through
-  the *same* sampler partials, in the same order the generator body
-  would — session start (resolve → pages draw → trace → layout RTT) and
-  page cycle (hits draw → offer → counters → think draw);
+* every wake draws from the *same* population-shared RNG streams in the
+  same order the generator body would — session start (resolve → pages
+  draw → trace → layout RTT) and page cycle (hits draw → offer →
+  counters → think draw);
 * rescheduling uses the byte-exact eid/heap-key arithmetic of
   :func:`~repro.sim.events.timeout_factory`.
 
 Since heap dispatch order is a pure function of the (time, key) entries
 and every stream draw happens inside some dispatch, the trajectory — and
 therefore results, metrics and checkpoint digests — is bit-identical to
-the eager population for *any* configuration (dynamics, caching,
-geography, arbitrary session models included). The eager-vs-lazy
-equivalence suite (``tests/integration/test_population_equivalence.py``,
-``tests/property/test_prop_population_equivalence.py``) enforces this.
+the generator for *any* configuration (dynamics, caching, geography,
+arbitrary session models included). The equivalence suites
+(``tests/integration/test_population_equivalence.py``,
+``tests/property/test_prop_population_equivalence.py``) run both and
+compare.
 
-Engine modes
-------------
-``event``
+Two lanes
+---------
+Event lane
     Each wake re-arms a shared one-element callbacks list on itself; the
-    reference engine dispatches it like any other event. This is the
-    universal mirror described above.
-``fluid``
+    engine dispatches it like any other event and
+    :meth:`ShardedClientPopulation._on_wake` runs one generator resume,
+    drawing through the same sampler partials the generator binds. This
+    is the universal mirror described above.
+Fast-forward lane
     Under a :class:`~repro.sim.fastforward.FastForwardEnvironment`, when
-    :func:`~repro.workload.fluid.fluid_fallback_reasons` is empty, the
-    wake class registers as the fluid task and
-    :meth:`ShardClientWake.drain` batch-steps quiescent windows with the
-    same inlined RNG/offer arithmetic as
-    :class:`~repro.workload.fluid.FluidClient` — state read from the
-    flat shards instead of per-task slots. Ineligible configurations
-    count their fallback reasons and take the ``event`` path inside the
-    same environment.
+    :func:`fluid_fallback_reasons` is empty, the wake class registers as
+    the fluid task and :meth:`ShardClientWake.drain` batch-steps
+    quiescent windows natively. Per page cycle the event lane pays a
+    callback dispatch and three Python frames of ``random`` machinery
+    (``randint`` → ``randrange`` → ``_randbelow``) plus one for
+    ``expovariate``; the drain replaces that with straight-line code over
+    bound C primitives (``Random.random``, ``Random.getrandbits``),
+    replicating each wrapper's arithmetic exactly:
+
+    * ``Exponential`` think times: ``-log(1.0 - random()) / lambd`` — the
+      body of ``random.Random.expovariate`` with the identical
+      precomputed ``lambd``;
+    * ``DiscreteUniform`` hits: ``low + r`` with ``r`` drawn by the
+      ``getrandbits(width.bit_length())`` rejection loop of
+      ``Random._randbelow_with_getrandbits`` (consumption-exact,
+      including rejections);
+    * ``Geometric`` pages: the inversion ``max(1, ceil(log(u) /
+      log(1-p)))`` with the same guard draws as :meth:`Geometric.sample
+      <repro.sim.distributions.Geometric.sample>`.
+
+    Ineligible configurations count their fallback reasons on the
+    environment and take the event lane inside the same environment.
 """
 
 from __future__ import annotations
@@ -54,19 +74,20 @@ from __future__ import annotations
 from array import array
 from heapq import heappush, heapreplace
 from math import ceil as _ceil, log as _log
+from typing import List
 
 from ..errors import ConfigurationError, SimulationError
-from ..sim.events import Event, _NORMAL_KEY
+from ..sim.distributions import DiscreteUniform, Exponential, Geometric
+from ..sim.events import _NORMAL_KEY
 from ..sim.fastforward import FastForwardEnvironment, FluidTask
-from ..sim.rng import RandomStreams
-from ..sim.stats import RunningStats as _RttStats
-from ..sim.tracing import NullTracer
-from .domains import DomainSet
-from .dynamics import StaticDomains
-from .fluid import fluid_fallback_reasons
-from .sessions import SessionModel
+from .clients import ClientPopulation
 
-__all__ = ["ShardClientWake", "ShardedClientPopulation", "DEFAULT_SHARD_SIZE"]
+__all__ = [
+    "ShardClientWake",
+    "ShardedClientPopulation",
+    "DEFAULT_SHARD_SIZE",
+    "fluid_fallback_reasons",
+]
 
 _INFINITY = float("inf")
 
@@ -77,16 +98,54 @@ _INFINITY = float("inf")
 DEFAULT_SHARD_SIZE = 4096
 
 
-class ShardClientWake(FluidTask, Event):
-    """One client's reusable heap entry in a sharded population.
+def fluid_fallback_reasons(population) -> List[str]:
+    """Why ``population`` cannot take the fast-forward lane (empty = eligible).
 
-    The wake is simultaneously an :class:`~repro.sim.events.Event` (so
-    the reference engine dispatches it through its normal callback
-    branch) and a :class:`~repro.sim.fastforward.FluidTask` (so the
-    fast-forward drain can step it natively). It owns no session state —
-    everything lives in the population's flat shards, indexed by
-    :attr:`slot` — which keeps the per-client footprint at two slots
-    plus the event plumbing.
+    Each named feature would make :meth:`ShardClientWake.drain` diverge
+    from the reference generator, so its presence forces event-stepping:
+
+    ``dynamic-domains``
+        Domain remapping over time (``dynamics.is_static`` false).
+    ``client-address-caching``
+        Per-client cached address mappings with TTL validity checks.
+    ``geography``
+        Geographic layouts accumulate per-page network RTTs.
+    ``session-model``
+        Session distributions other than the exact
+        ``Geometric``/``DiscreteUniform``/``Exponential`` triple whose
+        RNG arithmetic the drain inlines.
+    """
+    reasons = []
+    if not population.dynamics.is_static:
+        reasons.append("dynamic-domains")
+    if population.client_address_caching:
+        reasons.append("client-address-caching")
+    if population.layout is not None:
+        reasons.append("geography")
+    model = population.session_model
+    if not (
+        type(model.pages_per_session) is Geometric
+        and type(model.hits_per_page) is DiscreteUniform
+        and type(model.think_time) is Exponential
+    ):
+        reasons.append("session-model")
+    return reasons
+
+
+class ShardClientWake(FluidTask):
+    """One client's reusable heap entry and session state.
+
+    The wake is a :class:`~repro.sim.fastforward.FluidTask` (so the
+    fast-forward drain can step it natively) that also carries the three
+    fields the reference engine's dispatch touches on a heap entry —
+    ``_processed``, ``_waiter`` (always ``None``) and ``_callbacks`` —
+    so either engine can dispatch it through its callback branch without
+    the rest of an :class:`~repro.sim.events.Event`. The session state
+    both lanes read and write lives in its slots: the home domain (one
+    int object shared by every client of the domain), the pages left in
+    the session (``-1`` until the init dispatch, ``0`` when a session
+    start is due), the mapped server object and whether the
+    authoritative DNS routed the session.
 
     Construction mirrors :class:`~repro.sim.process._Initialize`: one
     urgent entry at the current time, consuming the eid a generator
@@ -94,40 +153,59 @@ class ShardClientWake(FluidTask, Event):
     heap key is the bare eid).
     """
 
-    __slots__ = ("population", "slot")
+    __slots__ = (
+        "population", "slot", "domain_id", "_remaining", "_server",
+        "_resolved", "_callbacks", "_processed",
+    )
 
-    def __init__(self, env, population: "ShardedClientPopulation", slot: int):
-        self.env = env
+    #: No process ever waits on a wake.
+    _waiter = None
+
+    def __init__(
+        self,
+        env,
+        population: "ShardedClientPopulation",
+        slot: int,
+        domain_id: int,
+        callbacks=None,
+    ):
         self.population = population
         self.slot = slot
-        self._callbacks = None
-        self._waiter = None
-        self._value = None
-        self._ok = True
+        self.domain_id = domain_id
+        self._remaining = -1
+        self._server = None
+        self._resolved = False
+        self._callbacks = callbacks
         self._processed = False
         env._eid = eid = env._eid + 1
         heappush(env._queue, (env._now + 0.0, eid, self))
 
     @classmethod
     def drain(cls, env, queue, target: float, budget: int = -1) -> None:
-        """Dispatch consecutive shard-client wakes natively (fluid lane).
+        """Dispatch consecutive client wakes natively (fast-forward lane).
 
-        The structural twin of :meth:`FluidClient.drain
-        <repro.workload.fluid.FluidClient.drain>` — same inlined RNG
-        arithmetic, same inlined ``WebServer.offer``, same heapreplace
-        rescheduling — except client state is read from and written to
-        the population's flat arrays through ``task.slot``. Only
-        populations with no fallback reasons register this class, so the
-        dynamic-domains / caching / geography / non-standard-model
-        branches of the event-mode handler have no counterpart here.
+        Per wake: init, session start and/or one page cycle — every
+        line shadows a line of the reference client generator (or of
+        ``WebServer.offer``, inlined for the per-page fast path) — same
+        call order, same operand order. Change them together or the
+        equivalence suites fail. Only populations with no fallback
+        reasons register this class, so the dynamic-domains / caching /
+        geography / non-standard-model branches of the event lane have
+        no counterpart here. The loop keeps going while the heap top is
+        a wake due by ``target`` (and ``budget`` wakes remain; see
+        :meth:`FluidTask.drain` for the heapreplace parity argument).
         """
         replace = heapreplace
         ceil = _ceil
         log = _log
-        # Population-shared state hoists and local counter accumulation:
-        # see FluidClient.drain for the quiescence/parity argument. The
-        # per-slot arrays are hoisted alongside the RNG state — one
-        # attribute load per population change, then C-speed indexing.
+        # Population-shared state (RNG streams, session-model params,
+        # resolution chain) is hoisted into locals on the first wake
+        # instead of loaded per wake. Population counters accumulate in
+        # locals and flush on exit: within a drain window nothing else
+        # runs (quiescence), so every observer — monitor windows,
+        # checkpoint digests, results — sees the flushed values it
+        # would have seen under per-wake increments. Integer-only, so
+        # the deferred addition is parity-exact.
         population = None
         pages_acc = hits_acc = sessions_acc = routed_acc = 0
         try:
@@ -142,6 +220,8 @@ class ShardClientWake(FluidTask, Event):
                 p = task.population
                 if p is not population:
                     if population is not None:  # pragma: no cover
+                        # A second population mid-drain: flush the first
+                        # one's counters before re-hoisting.
                         population.total_pages += pages_acc
                         population.total_hits += hits_acc
                         population.total_sessions += sessions_acc
@@ -173,23 +253,18 @@ class ShardClientWake(FluidTask, Event):
                     pages_log_q = (
                         0.0 if pages_degenerate else log(1.0 - pages_dist._p)
                     )
-                    remaining_arr = p._remaining
-                    server_arr = p._server
-                    resolved_arr = p._resolved
-                    home_arr = p._home_domain
                     shard_sessions = p._shard_sessions
                     shard_size = p.shard_size
-                slot = task.slot
-                remaining = remaining_arr[slot]
+                remaining = task._remaining
+                domain_id = task.domain_id
                 if remaining > 0:
-                    server = servers[server_arr[slot]]
-                    resolved_by_dns = resolved_arr[slot]
-                    domain_id = home_arr[slot]
+                    server = task._server
+                    resolved_by_dns = task._resolved
                 elif remaining == 0:
                     # Session start: resolve, then draw the session
-                    # length (drain runs only under static dynamics, so
-                    # the session's domain is the home domain).
-                    domain_id = home_arr[slot]
+                    # length (the drain runs only under static dynamics,
+                    # so the session's domain is the home domain).
+                    slot = task.slot
                     before = chain.authoritative_answers
                     record = resolve(domain_id, now, slot)
                     resolved_by_dns = chain.authoritative_answers > before
@@ -217,12 +292,12 @@ class ShardClientWake(FluidTask, Event):
                                 "dns": resolved_by_dns,
                             },
                         )
-                    server_arr[slot] = record.server_id
-                    resolved_arr[slot] = 1 if resolved_by_dns else 0
+                    task._server = server
+                    task._resolved = resolved_by_dns
                 else:
                     # First dispatch (the _Initialize mirror): stagger
                     # the session start across one mean think time.
-                    remaining_arr[slot] = 0
+                    task._remaining = 0
                     delay = stagger_uniform(0.0, think_mean)
                     env._eid = eid = env._eid + 1
                     replace(queue, (now + delay, _NORMAL_KEY | eid, task))
@@ -269,15 +344,21 @@ class ShardClientWake(FluidTask, Event):
                 server.total_hits += hits
                 server.total_pages += 1
                 domain_hits = server.domain_hits
+                # try/except beats dict.get on the hot path: the KeyError
+                # fires once per (server, domain) pair, then never again.
+                # Integer-only bookkeeping, so reordering vs the reference
+                # `.get` is parity-safe (no RNG, no float arithmetic).
                 try:
                     domain_hits[domain_id] += hits
                 except KeyError:
                     domain_hits[domain_id] = hits
+                # Population totals (the generator's per-page counter
+                # block) — accumulated, flushed on exit.
                 pages_acc += 1
                 hits_acc += hits
                 if resolved_by_dns:
                     routed_acc += hits
-                remaining_arr[slot] = remaining - 1
+                task._remaining = remaining - 1
                 # Think-sleep: expovariate(lambd) inlined, then the
                 # timeout factory's eid/heap-key arithmetic.
                 delay = -log(1.0 - think_random()) / think_lambd
@@ -295,144 +376,66 @@ class ShardClientWake(FluidTask, Event):
 
     def __repr__(self) -> str:
         return (
-            f"<ShardClientWake slot={self.slot} "
-            f"remaining={self.population._remaining[self.slot]}>"
+            f"<ShardClientWake slot={self.slot} domain={self.domain_id} "
+            f"remaining={self._remaining}>"
         )
 
 
-class ShardedClientPopulation:
-    """All clients as flat-slot shards driven by reusable heap wakes.
+class ShardedClientPopulation(ClientPopulation):
+    """All clients as reusable heap wakes, with per-shard session counts.
 
-    Drop-in for :class:`~repro.workload.clients.ClientPopulation` (same
-    constructor signature plus ``shard_size``, same attribute surface,
-    same metrics, same ``snapshot_state``), selected via
-    ``SimulationConfig.population = "lazy"``. See the module docstring
-    for the equivalence argument.
+    A :class:`~repro.workload.clients.ClientPopulation` whose clients
+    are :class:`ShardClientWake` entries instead of generator processes:
+    same constructor arguments plus ``shard_size`` (clients per
+    accounting shard), same counters, metrics and ``snapshot_state``.
+    See the module docstring for the equivalence argument.
     """
 
     __slots__ = (
-        "env",
-        "cluster",
-        "resolution_chain",
-        "domains",
-        "session_model",
-        "total_clients",
-        "tracer",
-        "dynamics",
-        "client_address_caching",
-        "client_cache_hits",
-        "layout",
-        "network_rtt_stats",
-        "_think_rng",
-        "_pages_rng",
-        "_hits_rng",
-        "_stagger_rng",
         "_think_sample",
         "_pages_sample",
         "_hits_sample",
-        "dns_routed_hits",
-        "total_hits",
-        "total_pages",
-        "total_sessions",
         "shard_size",
         "shard_count",
         "_shard_sessions",
-        "_remaining",
-        "_server",
-        "_resolved",
-        "_home_domain",
         "_session_domain",
         "_cached_domain",
         "_cached_records",
         "_page_rtt",
         "_cb",
-        "processes",
-        "engine",
     )
 
-    def __init__(
-        self,
-        env,
-        cluster,
-        resolution_chain,
-        domains: DomainSet,
-        session_model: SessionModel,
-        total_clients: int,
-        streams: RandomStreams,
-        tracer=None,
-        dynamics=None,
-        client_address_caching: bool = False,
-        layout=None,
-        metrics=None,
-        shard_size: int = DEFAULT_SHARD_SIZE,
-    ):
-        if total_clients < 1:
-            raise ConfigurationError(
-                f"total_clients must be >= 1, got {total_clients!r}"
-            )
+    def __init__(self, *args, shard_size: int = DEFAULT_SHARD_SIZE, **kwargs):
         if shard_size < 1:
             raise ConfigurationError(
                 f"shard_size must be >= 1, got {shard_size!r}"
             )
-        self.env = env
-        self.cluster = cluster
-        self.resolution_chain = resolution_chain
-        self.domains = domains
-        self.session_model = session_model
-        self.total_clients = total_clients
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.dynamics = dynamics if dynamics is not None else StaticDomains()
-        self.client_address_caching = bool(client_address_caching)
-        self.client_cache_hits = 0
-        self.layout = layout
-        self.network_rtt_stats = _RttStats()
-        self._think_rng = streams.stream("workload.think")
-        self._pages_rng = streams.stream("workload.pages")
-        self._hits_rng = streams.stream("workload.hits")
-        self._stagger_rng = streams.stream("workload.stagger")
-        # The same sampler partials the eager generator binds — the
-        # event-mode wake handler draws through these, which is what
-        # makes the mirror exact for arbitrary session models.
-        self._think_sample = session_model.think_time.sampler(self._think_rng)
-        self._pages_sample = session_model.pages_per_session.sampler(
-            self._pages_rng
-        )
-        self._hits_sample = session_model.hits_per_page.sampler(self._hits_rng)
-        self.dns_routed_hits = 0
-        self.total_hits = 0
-        self.total_pages = 0
-        self.total_sessions = 0
-        if metrics is not None:
-            metrics.register("workload.sessions", lambda: self.total_sessions)
-            metrics.register("workload.pages", lambda: self.total_pages)
-            metrics.register("workload.hits", lambda: self.total_hits)
-            metrics.register(
-                "workload.dns_routed_hits", lambda: self.dns_routed_hits
-            )
-            metrics.register(
-                "workload.client_cache_hits", lambda: self.client_cache_hits
-            )
         self.shard_size = shard_size
-        self.shard_count = (total_clients + shard_size - 1) // shard_size
+        super().__init__(*args, **kwargs)
+
+    def _spawn(self) -> list:
+        """One wake per client, in client order, on the lane that fits."""
+        env = self.env
+        total_clients = self.total_clients
+        # The same sampler partials the reference generator binds — the
+        # event lane draws through these, which is what makes the mirror
+        # exact for arbitrary session models.
+        model = self.session_model
+        self._think_sample = model.think_time.sampler(self._think_rng)
+        self._pages_sample = model.pages_per_session.sampler(self._pages_rng)
+        self._hits_sample = model.hits_per_page.sampler(self._hits_rng)
+        self.shard_count = (
+            total_clients + self.shard_size - 1
+        ) // self.shard_size
         self._shard_sessions = array("q", bytes(8 * self.shard_count))
-        # Flat per-client state. ``bytes(8 * n)`` zero-fills an "q"
-        # array without building an n-element Python list first.
-        self._remaining = array("q", bytes(8 * total_clients))
-        for slot in range(total_clients):
-            self._remaining[slot] = -1
-        self._server = array("q", bytes(8 * total_clients))
-        self._resolved = bytearray(total_clients)
-        home = array("q")
-        for domain_id, count in enumerate(
-            domains.iter_client_counts(total_clients)
-        ):
-            if count:
-                home.extend([domain_id] * count)
-        self._home_domain = home
-        # Under static dynamics a session's domain IS the home domain;
-        # the separate array exists only when identities can move.
+        # Per-feature client state, allocated only when the feature is
+        # on. ``bytes(8 * n)`` zero-fills an "q"/"d" array without
+        # building an n-element Python list first; every cell is written
+        # at a session start before it is read.
         self._session_domain = (
-            home if self.dynamics.is_static else array("q", home)
+            None
+            if self.dynamics.is_static
+            else array("q", bytes(8 * total_clients))
         )
         if self.client_address_caching:
             self._cached_domain = array("q", bytes(8 * total_clients))
@@ -443,13 +446,14 @@ class ShardedClientPopulation:
             self._cached_domain = None
             self._cached_records = None
         self._page_rtt = (
-            array("d", bytes(8 * total_clients)) if layout is not None else None
+            array("d", bytes(8 * total_clients))
+            if self.layout is not None
+            else None
         )
         # One shared single-element callbacks list, re-armed onto each
         # wake after dispatch. Safe because the engine iterates its
         # *local* reference after nulling the attribute.
         self._cb = [self._on_wake]
-        self.engine = "event"
         if isinstance(env, FastForwardEnvironment):
             reasons = fluid_fallback_reasons(self)
             if reasons:
@@ -457,29 +461,31 @@ class ShardedClientPopulation:
                     env.count_fallback(reason)
             else:
                 self.engine = "fluid"
-        if self.engine == "fluid":
-            env.register_task_class(ShardClientWake)
-            self.processes = [
-                ShardClientWake(env, self, slot)
-                for slot in range(total_clients)
-            ]
-        else:
-            cb = self._cb
-            processes = []
-            append = processes.append
-            for slot in range(total_clients):
-                wake = ShardClientWake(env, self, slot)
-                wake._callbacks = cb
-                append(wake)
-            self.processes = processes
-
-    @property
-    def dns_control_fraction(self) -> float:
-        """Fraction of hits in sessions the DNS directly routed."""
-        return self.dns_routed_hits / self.total_hits if self.total_hits else 0.0
+                env.register_task_class(ShardClientWake)
+        callbacks = None if self.engine == "fluid" else self._cb
+        processes = []
+        append = processes.append
+        # Drain the count stream into run-length arrays first, so its
+        # working state is freed before the wakes are allocated.
+        homes = array("q")
+        runs = array("q")
+        for domain_id, count in enumerate(
+            self.domains.iter_client_counts(total_clients)
+        ):
+            if count:
+                homes.append(domain_id)
+                runs.append(count)
+        start = 0
+        for domain_id, count in zip(homes, runs):
+            # One int object per domain, shared by all its clients.
+            end = start + count
+            for slot in range(start, end):
+                append(ShardClientWake(env, self, slot, domain_id, callbacks))
+            start = end
+        return processes
 
     def _on_wake(self, wake: ShardClientWake) -> None:
-        """Run one client wake (event-mode universal mirror).
+        """Run one client wake (the event lane's universal mirror).
 
         Transcribes one resume of ``ClientPopulation._client`` — same
         stream draws through the same sampler partials, same call order,
@@ -489,12 +495,11 @@ class ShardedClientPopulation:
         """
         env = self.env
         now = env._now
-        slot = wake.slot
-        remaining = self._remaining[slot]
+        remaining = wake._remaining
         if remaining < 0:
             # First dispatch: stagger the session start across one mean
             # think time (the generator's pre-loop yield).
-            self._remaining[slot] = 0
+            wake._remaining = 0
             delay = self._stagger_rng.uniform(
                 0.0, self.session_model.think_time.mean
             )
@@ -505,14 +510,20 @@ class ShardedClientPopulation:
             return
         session_domain = self._session_domain
         if remaining > 0:
-            domain_id = session_domain[slot]
-            resolved_by_dns = self._resolved[slot]
+            domain_id = (
+                wake.domain_id
+                if session_domain is None
+                else session_domain[wake.slot]
+            )
+            server = wake._server
+            resolved_by_dns = wake._resolved
         else:
+            slot = wake.slot
             while True:
                 # Session start. The loop mirrors the generator's
                 # `while True` head: a model drawing zero pages starts
                 # the next session in the same wake, as `range(0)` would.
-                home = self._home_domain[slot]
+                home = wake.domain_id
                 dynamics = self.dynamics
                 domain_id = (
                     home
@@ -556,22 +567,24 @@ class ShardedClientPopulation:
                     self._page_rtt[slot] = self.layout.rtt(
                         domain_id, record.server_id
                     )
-                self._server[slot] = record.server_id
-                self._resolved[slot] = 1 if resolved_by_dns else 0
-                session_domain[slot] = domain_id
                 if pages > 0:
                     remaining = pages
                     break
+            server = self.cluster.servers[record.server_id]
+            wake._server = server
+            wake._resolved = resolved_by_dns
+            if session_domain is not None:
+                session_domain[slot] = domain_id
         # One page cycle (the generator's for-loop body).
         hits = int(self._hits_sample())
-        self.cluster.servers[self._server[slot]].offer(now, hits, domain_id)
+        server.offer(now, hits, domain_id)
         self.total_pages += 1
         self.total_hits += hits
         if resolved_by_dns:
             self.dns_routed_hits += hits
         if self.layout is not None:
-            self.network_rtt_stats.add(self._page_rtt[slot])
-        self._remaining[slot] = remaining - 1
+            self.network_rtt_stats.add(self._page_rtt[wake.slot])
+        wake._remaining = remaining - 1
         delay = self._think_sample()
         if not 0.0 <= delay < _INFINITY:
             raise SimulationError(
@@ -596,29 +609,3 @@ class ShardedClientPopulation:
             "sessions_max": max(sessions) if sessions else 0,
             "sessions_total": sum(sessions),
         }
-
-    def snapshot_state(self) -> dict:
-        """Workload counters and liveness census (for checkpoints).
-
-        Key-for-key and value-for-value identical to the eager
-        population's snapshot at any trajectory cut (wakes model endless
-        clients, so the census always equals ``total_clients`` — exactly
-        as the eager generators report).
-        """
-        return {
-            "total_clients": self.total_clients,
-            "total_sessions": self.total_sessions,
-            "total_pages": self.total_pages,
-            "total_hits": self.total_hits,
-            "dns_routed_hits": self.dns_routed_hits,
-            "client_cache_hits": self.client_cache_hits,
-            "alive": sum(1 for process in self.processes if process.is_alive),
-            "network_rtt_stats": self.network_rtt_stats.snapshot_state(),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"<ShardedClientPopulation clients={self.total_clients} "
-            f"shards={self.shard_count} domains={self.domains.domain_count} "
-            f"hits={self.total_hits}>"
-        )

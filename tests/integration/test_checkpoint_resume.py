@@ -49,6 +49,7 @@ from repro.experiments.checkpointing import (
 from repro.experiments.config import SimulationConfig
 from repro.experiments.simulation import Simulation, run_simulation
 from repro.sim.checkpoint import (
+    config_digest,
     latest_checkpoint,
     list_checkpoints,
     read_checkpoint,
@@ -234,6 +235,19 @@ def test_resume_rejects_tampered_config(tmp_path):
     path = _halted_checkpoint_dir(tmp_path)
     data = json.loads(path.read_text())
     data["config"]["seed"] = 999
+    path.write_text(json.dumps(data))
+    with pytest.raises(CheckpointMismatchError) as excinfo:
+        resume_run(tmp_path)
+    assert excinfo.value.field == "config_hash"
+
+
+def test_resume_refuses_checkpoint_with_removed_population_field(tmp_path):
+    """A checkpoint written while SimulationConfig had ``population``
+    refuses by name, before any replay, instead of failing to build."""
+    path = _halted_checkpoint_dir(tmp_path)
+    data = json.loads(path.read_text())
+    data["config"]["population"] = "auto"
+    data["config_hash"] = config_digest(data["config"])
     path.write_text(json.dumps(data))
     with pytest.raises(CheckpointMismatchError) as excinfo:
         resume_run(tmp_path)

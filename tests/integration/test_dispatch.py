@@ -32,6 +32,8 @@ from repro.experiments.executor import ParallelExecutor
 from repro.experiments.persistence import result_to_dict
 from repro.experiments.simulation import run_simulation
 
+from ..conftest import wait_until_dialing
+
 #: Artifacts compared byte-for-byte between backends. Manifests are
 #: excluded by design: they carry timestamps and (on purpose) the
 #: worker identity that produced each cell.
@@ -89,6 +91,7 @@ def _run_remote(configs, *, workers, checkpoint_dir=None, crash_first=False,
                 worker_id=f"w{index}",
                 crash_after=1 if crash_first and index == 0 else None,
             ))
+        wait_until_dialing(agents)
         results = executor.run_simulations(
             configs, labels=[c.policy for c in configs]
         )

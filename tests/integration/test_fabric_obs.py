@@ -43,6 +43,8 @@ from repro.obs.spans import (
     salvage_span_jsonl,
 )
 
+from ..conftest import wait_until_dialing
+
 
 def _grid_configs():
     """A small mixed-policy batch — enough cells to share around."""
@@ -119,6 +121,7 @@ def _run_observed(configs, tmp_path, *, workers=2, crash_first=False,
                 span_log=worker_log,
                 crash_dir=crash_dir,
             ))
+        wait_until_dialing(agents)
         results = executor.run_simulations(
             configs, labels=[c.policy for c in configs]
         )

@@ -1,9 +1,11 @@
-"""Eager vs sharded (lazy) client populations are bit-identical.
+"""The sharded population is bit-identical to the generator reference.
 
-The sharded population is not an approximation: per configuration it
-must replay the eager generator's RNG draw order exactly, so results,
-metrics, and mid-run checkpoint digests agree value-for-value in both
-engine modes.  These named configurations pin the feature dimensions
+Every synthetic run builds the sharded population; the generator
+population (``ClientPopulation``, reached through the test-only
+``reference_population`` seam) is the executable reference it mirrors.
+The mirror is not an approximation: per configuration it must replay
+the generator's RNG draw order exactly, so results, metrics, and mid-run
+checkpoint digests agree value-for-value in both engine modes.  These named configurations pin the feature dimensions
 that could plausibly diverge — adaptive TTL policies with non-oracle
 estimators, domain rotation, client address caching, geography, and
 multi-nameserver resolution.
@@ -17,6 +19,10 @@ import pytest
 from repro.experiments.config import SimulationConfig
 from repro.experiments.simulation import Simulation, run_simulation
 from repro.sim.checkpoint import state_digest
+from repro.workload.clients import ClientPopulation
+from repro.workload.shards import ShardedClientPopulation
+
+from ..conftest import reference_population
 
 #: The golden-trajectory configuration (tests/fixtures) plus one named
 #: config per feature dimension.  Keys are test ids.
@@ -63,55 +69,60 @@ CONFIGS = {
 
 
 def fingerprint(result) -> str:
-    """Exact serialized result, minus the population selector itself.
-
-    The embedded config echoes ``population`` back, which differs by
-    construction; every behavioral field must still match exactly.
-    """
-    data = dataclasses.asdict(result)
-    data["config"].pop("population", None)
-    return json.dumps(data, sort_keys=True, default=repr)
+    """Exact serialized result: every field must match exactly."""
+    return json.dumps(dataclasses.asdict(result), sort_keys=True, default=repr)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 @pytest.mark.parametrize("mode", ["event", "fastforward"])
 def test_results_bit_identical(name, mode):
-    results = {}
-    for population in ("eager", "lazy"):
-        config = SimulationConfig(population=population, **CONFIGS[name])
-        results[population] = run_simulation(config, engine_mode=mode)
-    assert fingerprint(results["eager"]) == fingerprint(results["lazy"])
-    assert results["eager"].total_sessions > 0
+    config = SimulationConfig(**CONFIGS[name])
+    with reference_population():
+        reference = run_simulation(config, engine_mode=mode)
+    sharded = run_simulation(config, engine_mode=mode)
+    assert fingerprint(reference) == fingerprint(sharded)
+    assert reference.total_sessions > 0
+
+
+def _midrun_digests(config, mode):
+    sim = Simulation(config, engine_mode=mode)
+    cuts = []
+    for t in (150.0, 300.0, 450.0, 600.0):
+        sim.advance(t)
+        cuts.append(state_digest(sim.snapshot_state()))
+    return cuts
 
 
 @pytest.mark.parametrize("mode", ["event", "fastforward"])
 def test_midrun_digests_identical(mode):
     """Checkpoint digests agree at every cut, not just at the finish."""
-    digests = {}
-    for population in ("eager", "lazy"):
-        config = SimulationConfig(population=population, **CONFIGS["golden"])
-        sim = Simulation(config, engine_mode=mode)
-        cuts = []
-        for t in (150.0, 300.0, 450.0, 600.0):
-            sim.advance(t)
-            cuts.append(state_digest(sim.snapshot_state()))
-        digests[population] = cuts
-    assert digests["eager"] == digests["lazy"]
+    config = SimulationConfig(**CONFIGS["golden"])
+    with reference_population():
+        reference = _midrun_digests(config, mode)
+    assert reference == _midrun_digests(config, mode)
 
 
-def test_auto_population_resolves_by_scale():
-    small = SimulationConfig(total_clients=120)
-    assert small.effective_population() == "eager"
-    large = SimulationConfig(total_clients=200_000, domain_count=1000)
-    assert large.effective_population() == "lazy"
-    forced = SimulationConfig(total_clients=120, population="lazy")
-    assert forced.effective_population() == "lazy"
+def test_population_is_sharded_at_every_scale():
+    """No client count selects another closed population."""
+    for clients in (1, 120, 100_000):
+        config = SimulationConfig(
+            total_clients=clients, domain_count=1000, duration=1.0
+        )
+        sim = Simulation(config)
+        assert type(sim.population) is ShardedClientPopulation
+        assert len(sim.population.processes) == clients
+
+
+def test_reference_seam_builds_the_generator_population():
+    """The suites above compare two different implementations."""
+    config = SimulationConfig(**CONFIGS["golden"])
+    with reference_population():
+        assert type(Simulation(config).population) is ClientPopulation
+    assert type(Simulation(config).population) is ShardedClientPopulation
 
 
 def test_workload_info_reports_population():
-    config = SimulationConfig(
-        duration=120.0, population="lazy", shard_size=32
-    )
+    config = SimulationConfig(duration=120.0, shard_size=32)
     sim = Simulation(config)
     sim.run()
     info = sim.workload_info

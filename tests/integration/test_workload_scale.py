@@ -16,8 +16,8 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.simulation import Simulation
 from repro.workload.domains import LazyZipfDomainSet
 
-#: Above both lazy thresholds (domains and clients trip at 100 000)
-#: while keeping the slow tier's runtime in seconds.
+#: Above the lazy domain-set threshold (100 000 domains) while keeping
+#: the slow tier's runtime in seconds.
 DOMAINS = 200_000
 
 #: MiB of traced allocations allowed for a truncated large-K run.
@@ -44,7 +44,6 @@ def test_synthetic_large_k_within_budget():
         policy="RR",
         domain_count=DOMAINS,
         total_clients=1_000,
-        population="lazy",
         duration=60.0,
         seed=5,
     )

@@ -1,11 +1,12 @@
-"""Hypothesis harness: eager vs sharded populations, randomly drawn.
+"""Hypothesis harness: generator reference vs sharded population.
 
 Complements the named configurations in
 tests/integration/test_population_equivalence.py with randomly drawn
 ones: any divergence in RNG draw order, float arithmetic, or event
-scheduling between ClientPopulation and ShardedClientPopulation
-surfaces as a value diff in the serialized result or a digest mismatch
-at a mid-run cut.
+scheduling between the generator reference (``ClientPopulation``,
+reached through the ``reference_population`` seam) and the sharded
+population every run builds surfaces as a value diff in the serialized
+result or a digest mismatch at a mid-run cut.
 """
 
 import dataclasses
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 from repro.experiments.config import SimulationConfig
 from repro.experiments.simulation import Simulation, run_simulation
 from repro.sim.checkpoint import state_digest
+
+from ..conftest import reference_population
 
 POLICIES = ["RR", "RR2", "DRR-TTL/S_K", "DRR2-TTL/S_K", "PRR-TTL/K"]
 
@@ -44,49 +47,37 @@ common = settings(
 
 
 def fingerprint(result) -> str:
-    data = dataclasses.asdict(result)
-    data["config"].pop("population", None)
-    data["config"].pop("shard_size", None)
-    return json.dumps(data, sort_keys=True, default=repr)
+    return json.dumps(dataclasses.asdict(result), sort_keys=True, default=repr)
+
+
+def midrun_digest(config) -> str:
+    sim = Simulation(config)
+    sim.advance(config.duration / 2)
+    return state_digest(sim.snapshot_state())
 
 
 class TestPopulationEquivalence:
     @given(configs)
     @common
     def test_results_are_bit_identical(self, config):
-        eager = run_simulation(
-            dataclasses.replace(config, population="eager")
-        )
-        lazy = run_simulation(
-            dataclasses.replace(config, population="lazy")
-        )
-        assert fingerprint(eager) == fingerprint(lazy)
+        with reference_population():
+            reference = run_simulation(config)
+        assert fingerprint(reference) == fingerprint(run_simulation(config))
 
     @given(configs)
     @common
     def test_midrun_state_digests_agree(self, config):
-        cut = config.duration / 2
-        digests = []
-        for population in ("eager", "lazy"):
-            sim = Simulation(
-                dataclasses.replace(config, population=population)
-            )
-            sim.advance(cut)
-            digests.append(state_digest(sim.snapshot_state()))
-        assert digests[0] == digests[1]
+        with reference_population():
+            reference = midrun_digest(config)
+        assert reference == midrun_digest(config)
 
     @given(configs)
     @common
     def test_lazy_fastforward_matches_eager_event(self, config):
         """Cross both axes at once: the sharded population under the
-        fast-forward engine equals the eager one under the reference
-        engine."""
-        eager = run_simulation(
-            dataclasses.replace(config, population="eager"),
-            engine_mode="event",
-        )
-        lazy = run_simulation(
-            dataclasses.replace(config, population="lazy"),
-            engine_mode="fastforward",
-        )
-        assert fingerprint(eager) == fingerprint(lazy)
+        fast-forward engine equals the generator reference under the
+        reference engine."""
+        with reference_population():
+            reference = run_simulation(config, engine_mode="event")
+        sharded = run_simulation(config, engine_mode="fastforward")
+        assert fingerprint(reference) == fingerprint(sharded)

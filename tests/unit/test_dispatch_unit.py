@@ -330,3 +330,52 @@ class TestPacedCells:
     def test_negative_pace_rejected(self):
         with pytest.raises(ConfigurationError):
             RemoteBackend(("127.0.0.1", 0), pace=-0.1)
+
+
+class TestCoordinatorShutdown:
+    """Shutdown never joins a connection handler that was not started."""
+
+    def test_shutdown_racing_a_new_connection_joins_only_started_handlers(
+        self, monkeypatch
+    ):
+        import threading
+
+        from repro.experiments.dispatch.coordinator import Coordinator
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        coordinator = Coordinator([{"cell": 0}], listener=listener)
+        start_entered = threading.Event()
+        shutdown_done = threading.Event()
+        original_start = threading.Thread.start
+
+        def gated_start(thread):
+            # Hold the handler's start until _shutdown has returned.
+            # Publishing a handler before starting it lets _shutdown
+            # join it unstarted here; starting it first under the lock
+            # makes _shutdown wait for the lock instead, so this gate
+            # only times out.
+            if thread.name == "dispatch-worker-conn":
+                start_entered.set()
+                shutdown_done.wait(timeout=0.5)
+            original_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", gated_start)
+        accept = threading.Thread(target=coordinator._accept_loop, daemon=True)
+        accept.start()
+        client = socket.create_connection(coordinator.address)
+        try:
+            assert start_entered.wait(timeout=10.0)
+            # EOF lets a started handler return at once.
+            client.close()
+            try:
+                coordinator._shutdown()
+            finally:
+                shutdown_done.set()
+            accept.join(timeout=5.0)
+            assert not accept.is_alive()
+            assert all(
+                not handler.is_alive() for handler in coordinator._handlers
+            )
+        finally:
+            client.close()
+            listener.close()

@@ -26,7 +26,7 @@ from repro.obs.provenance import build_manifest
 from repro.sim.engine import EmptySchedule, Environment
 from repro.sim.events import _NORMAL_KEY
 from repro.sim.fastforward import FastForwardEnvironment, FluidTask
-from repro.workload.fluid import fluid_fallback_reasons
+from repro.workload.shards import fluid_fallback_reasons
 
 
 class TickTask(FluidTask):

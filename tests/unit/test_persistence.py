@@ -42,6 +42,26 @@ class TestConfigRoundTrip:
         text = json.dumps(config_to_dict(SimulationConfig()))
         assert config_from_dict(json.loads(text)) == SimulationConfig()
 
+    @pytest.mark.parametrize("population", ["auto", "eager", "lazy"])
+    def test_config_saved_with_population_field_loads(self, population):
+        """Configs saved while SimulationConfig had ``population`` load;
+        every former value named a bit-identical layout."""
+        config = SimulationConfig(policy="DAL", seed=7)
+        saved = {**config_to_dict(config), "population": population}
+        assert config_from_dict(json.loads(json.dumps(saved))) == config
+
+    def test_unknown_saved_population_rejected_by_name(self):
+        saved = {**config_to_dict(SimulationConfig()), "population": "warp"}
+        with pytest.raises(ConfigurationError, match="population.*'warp'"):
+            config_from_dict(saved)
+
+    def test_result_saved_with_population_field_loads(self):
+        result = make_result([0.5, 0.9])
+        result.config = SimulationConfig(policy="RR")
+        data = result_to_dict(result)
+        data["config"]["population"] = "eager"
+        assert result_from_dict(data).config == result.config
+
 
 class TestResultRoundTrip:
     def test_basic_round_trip(self):

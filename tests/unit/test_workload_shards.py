@@ -53,9 +53,8 @@ class TestSetup:
         population, _, _ = build_population(
             env, ShardedClientPopulation, clients=13
         )
-        assert len(population._remaining) == 13
-        assert len(population._home_domain) == 13
-        assert all(r == -1 for r in population._remaining)
+        assert [wake.slot for wake in population.processes] == list(range(13))
+        assert all(wake._remaining == -1 for wake in population.processes)
 
     def test_shard_count_covers_population(self, env):
         population, _, _ = build_population(
@@ -87,9 +86,15 @@ class TestSetup:
         )
         expected = DomainSet.pure_zipf(4).client_counts(100)
         got = [0] * 4
-        for domain_id in population._home_domain:
-            got[domain_id] += 1
+        for wake in population.processes:
+            got[wake.domain_id] += 1
         assert got == expected
+        # Clients of one domain share one int object for its id.
+        firsts = {}
+        for wake in population.processes:
+            assert firsts.setdefault(wake.domain_id, wake.domain_id) is (
+                wake.domain_id
+            )
 
 
 class TestEagerParity:
