@@ -59,13 +59,13 @@ def _rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def run_config(config, engine_mode="event", trace_memory=False) -> dict:
+def run_config(config, trace_memory=False) -> dict:
     """Build and run one configuration, measuring time and memory."""
     gc.collect()
     if trace_memory:
         tracemalloc.start()
     start = time.perf_counter()
-    sim = Simulation(config, engine_mode=engine_mode)
+    sim = Simulation(config)
     build_seconds = time.perf_counter() - start
     result = sim.run()
     elapsed = time.perf_counter() - start
@@ -142,10 +142,7 @@ def record() -> int:
     """Full-scale runs recorded into BENCH_ENGINE.json."""
     # ~8.5M hits per 120 sim-seconds at 100k clients: 1 440 sim-seconds
     # lands the synthetic run at ~10^8 requests.
-    synthetic = run_config(
-        synthetic_config(1_000_000, 100_000, 1_440.0),
-        engine_mode="fastforward",
-    )
+    synthetic = run_config(synthetic_config(1_000_000, 100_000, 1_440.0))
     print("synthetic:", json.dumps(synthetic, indent=2))
     trace = run_config(trace_config(1_000_000, 100.0, 3_600.0))
     print("trace:", json.dumps(trace, indent=2))

@@ -17,18 +17,19 @@ Usage::
 
     PYTHONPATH=src python benchmarks/record_bench_engine.py --label current
     PYTHONPATH=src python benchmarks/record_bench_engine.py --check
-    PYTHONPATH=src python benchmarks/record_bench_engine.py --population-parity PARENT_SRC
+    PYTHONPATH=src python benchmarks/record_bench_engine.py --parent PARENT_SRC
 
-``--population-parity`` times the closed population against an older
-tree's eager population with its native fast-forward clients
+``--parent`` times this tree's default path against an older tree's
 (``PARENT_SRC`` is that tree's ``src`` directory, e.g. from ``git
-archive``). One long-lived worker process per tree runs the same cell;
-the script alternates them in :data:`PARITY_PAIRS` pairs within one
-run and requires identical result digests. It records the median and
-interquartile range of each side, whether the single population's
-median stays within the older path's interquartile range of its median,
-and the net number of ``src/`` lines between the trees, under
-``population_parity``.
+archive``), in two series: a fresh interpreter importing ``repro.cli``
+(the start-up cost every pool worker and dispatch agent pays), and
+:data:`FABRIC_CELLS` run by ``run_simulation(config)`` with no engine
+mode named, in one long-lived worker process per tree. The script
+alternates the trees in :data:`PARITY_PAIRS` pairs within one run and
+requires identical cell result digests. It records the median and
+interquartile range of each side, whether this tree's median beats the
+older one by more than the older one's interquartile range, and the net
+number of ``src/`` lines between the trees, under ``default_path``.
 
 ``--check`` re-measures and fails (exit 1) if the sleep or switching
 throughput fell below ``--threshold`` (default 0.6) times the recorded
@@ -168,14 +169,8 @@ def measure(repetitions: int) -> dict:
 #: its interquartile range mean something on a noisy host).
 PARITY_PAIRS = 15
 
-#: The drain-parity cell: a 7200 s fig1 cell under fast-forward.
-PARITY_CELL = {
-    "policy": "DRR2-TTL/S_K", "heterogeneity": 20, "duration": 7200.0,
-    "seed": 1,
-}
-
-#: Fabric-like cells (reported, not gated): 60 s cells over the policies
-#: and heterogeneity levels of the fabric-grid benchmark, event engine.
+#: Fabric-like cells: 60 s cells over the policies and heterogeneity
+#: levels of the fabric-grid benchmark.
 FABRIC_CELLS = [
     {"policy": policy, "heterogeneity": level, "duration": 60.0, "seed": 1000}
     for policy in ("RR", "DAL", "DRR2-TTL/S_K", "PRR-TTL/K")
@@ -183,9 +178,9 @@ FABRIC_CELLS = [
 ]
 
 #: One worker process: imports the tree at argv[1], then per stdin line
-#: runs the cells of argv[2] under engine mode argv[3] and prints
+#: runs the cells of argv[2] on that tree's default path and prints
 #: ``[seconds, digest]``.
-_PARITY_WORKER = r"""
+_CELL_WORKER = r"""
 import gc, hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
 from repro.experiments.config import SimulationConfig
@@ -195,7 +190,7 @@ for _ in sys.stdin:
     gc.collect()
     gc.disable()
     start = time.perf_counter()
-    results = [run_simulation(c, engine_mode=sys.argv[3]) for c in configs]
+    results = [run_simulation(c) for c in configs]
     elapsed = time.perf_counter() - start
     gc.enable()
     payload = [[r.max_utilization_samples, r.total_hits, r.total_sessions,
@@ -205,47 +200,42 @@ for _ in sys.stdin:
 """
 
 
-def alternate_series(sides: dict, engine_mode: str) -> dict:
-    """Time each side's cells in alternating pairs, one worker per side.
+def cold_import_sampler(src: pathlib.Path):
+    """Seconds for a fresh interpreter to import ``repro.cli`` from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
 
-    ``sides`` maps a name to ``(src directory, cell dicts)``. Which side
-    runs first alternates between pairs; one warm-up run per side is
-    discarded. Exits if the sides' result digests differ.
-    """
-    workers = {
-        name: subprocess.Popen(
-            [sys.executable, "-c", _PARITY_WORKER, str(src),
-             json.dumps(cells), engine_mode],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    def sample():
+        start = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-c", "import repro.cli"], env=env, check=True
         )
-        for name, (src, cells) in sides.items()
-    }
+        return time.perf_counter() - start, None
 
-    def run(name):
-        worker = workers[name]
-        worker.stdin.write("\n")
-        worker.stdin.flush()
-        return json.loads(worker.stdout.readline())
+    return sample
 
-    names = list(sides)
+
+def alternate_series(samplers: dict) -> dict:
+    """Time each side in alternating pairs.
+
+    ``samplers`` maps a side's name to a callable returning ``(seconds,
+    digest)``. Which side runs first alternates between pairs; one
+    warm-up sample per side is discarded. Exits if the sides' digests
+    differ.
+    """
+    names = list(samplers)
     times = {name: [] for name in names}
-    digests = set()
-    try:
-        for name in names:
-            digests.add(run(name)[1])
-        for index in range(PARITY_PAIRS):
-            for name in names if index % 2 == 0 else names[::-1]:
-                elapsed, digest = run(name)
-                times[name].append(elapsed)
-                digests.add(digest)
-    finally:
-        for worker in workers.values():
-            worker.stdin.close()
-            worker.wait()
+    digests = {samplers[name]()[1] for name in names}
+    for index in range(PARITY_PAIRS):
+        for name in names if index % 2 == 0 else names[::-1]:
+            elapsed, digest = samplers[name]()
+            times[name].append(elapsed)
+            digests.add(digest)
     if len(digests) != 1:
         sys.exit(f"the trees' results differ: digests {sorted(digests)}")
-    series = {"pairs": PARITY_PAIRS, "engine_mode": engine_mode,
-              "result_digest": digests.pop()}
+    series = {"pairs": PARITY_PAIRS}
+    digest = digests.pop()
+    if digest is not None:
+        series["result_digest"] = digest
     for name in names:
         q1, median, q3 = statistics.quantiles(times[name], n=4)
         series[name] = {
@@ -253,6 +243,46 @@ def alternate_series(sides: dict, engine_mode: str) -> dict:
             "median": round(median, 4),
             "iqr": round(q3 - q1, 4),
         }
+    return series
+
+
+def cell_series(sides: dict) -> dict:
+    """:func:`alternate_series` of :data:`FABRIC_CELLS`, one worker per side.
+
+    ``sides`` maps a name to the ``src`` directory of its tree.
+    """
+    workers = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", _CELL_WORKER, str(src),
+             json.dumps(FABRIC_CELLS)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        for name, src in sides.items()
+    }
+
+    def sampler(worker):
+        def sample():
+            worker.stdin.write("\n")
+            worker.stdin.flush()
+            return tuple(json.loads(worker.stdout.readline()))
+
+        return sample
+
+    try:
+        return alternate_series(
+            {name: sampler(worker) for name, worker in workers.items()}
+        )
+    finally:
+        for worker in workers.values():
+            worker.stdin.close()
+            worker.wait()
+
+
+def compare(series: dict) -> dict:
+    """Stamp ``series`` with how far its current tree beats the parent."""
+    delta = series["parent"]["median"] - series["current"]["median"]
+    series["median_gain"] = round(delta, 4)
+    series["beyond_parent_iqr"] = delta > series["parent"]["iqr"]
     return series
 
 
@@ -264,35 +294,22 @@ def src_lines(src: pathlib.Path) -> int:
     )
 
 
-def measure_population_parity(parent_src: pathlib.Path) -> dict:
-    """The single population vs an older tree's eager + native clients."""
+def measure_default_path(parent_src: pathlib.Path) -> dict:
+    """This tree's default path vs an older tree's, cold start and cells."""
     current_src = REPO_ROOT / "src"
-    eager = {"population": "eager"}
-    fig1 = alternate_series(
-        {
-            "parent_eager_fluid": (parent_src, [{**PARITY_CELL, **eager}]),
-            "single_population": (current_src, [PARITY_CELL]),
-        },
-        "fastforward",
+    cold = compare(alternate_series({
+        "parent": cold_import_sampler(parent_src),
+        "current": cold_import_sampler(current_src),
+    }))
+    cold["command"] = "python -c 'import repro.cli'"
+    cells = compare(
+        cell_series({"parent": parent_src, "current": current_src})
     )
-    parent, single = fig1["parent_eager_fluid"], fig1["single_population"]
-    fig1["cell"] = PARITY_CELL
-    fig1["median_delta"] = round(single["median"] - parent["median"], 4)
-    fig1["within_parent_iqr"] = fig1["median_delta"] <= parent["iqr"]
-    fabric = alternate_series(
-        {
-            "parent_eager_event": (
-                parent_src, [{**cell, **eager} for cell in FABRIC_CELLS]
-            ),
-            "single_population": (current_src, FABRIC_CELLS),
-        },
-        "event",
-    )
-    fabric["cells"] = len(FABRIC_CELLS)
+    cells["cells"] = len(FABRIC_CELLS)
     parent_lines, current_lines = src_lines(parent_src), src_lines(current_src)
     return {
-        "fig1_cell_fastforward": fig1,
-        "fabric_cells_event": fabric,
+        "cold_import_cli": cold,
+        "fabric_cells_default": cells,
         "src_lines": {
             "parent": parent_lines,
             "current": current_lines,
@@ -321,20 +338,20 @@ def main(argv=None) -> int:
     parser.add_argument("--repetitions", type=int, default=3)
     parser.add_argument("--threshold", type=float, default=0.6)
     parser.add_argument(
-        "--population-parity",
+        "--parent",
         type=pathlib.Path,
         metavar="PARENT_SRC",
-        help="record the population parity series against this tree's src",
+        help="record the default-path series against this tree's src",
     )
     args = parser.parse_args(argv)
 
-    if args.population_parity is not None:
-        numbers = measure_population_parity(args.population_parity)
+    if args.parent is not None:
+        numbers = measure_default_path(args.parent)
         print(json.dumps(numbers, indent=2))
         results = load_results()
-        results["population_parity"] = numbers
+        results["default_path"] = numbers
         RESULTS_FILE.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"recorded 'population_parity' in {RESULTS_FILE}")
+        print(f"recorded 'default_path' in {RESULTS_FILE}")
         return 0
 
     numbers = measure(args.repetitions)

@@ -65,15 +65,6 @@ TCP — multi-host fan-out with lease-based crash tolerance, results
 bit-identical to ``--workers 1`` regardless of worker count or crashes.
 See ``docs/DISTRIBUTED.md``.
 
-Every simulating command also accepts ``--engine-mode fastforward``:
-the hybrid fluid/event engine (:mod:`repro.sim.fastforward`) that
-batch-advances quiescent client wakes natively. Results, trajectories
-and checkpoint digests are bit-identical to the reference ``event``
-mode — the mode only changes wall-clock time — and ineligible
-configurations fall back to reference event-stepping automatically
-(the fallback reasons land in the provenance manifest). See
-``docs/PERFORMANCE.md``.
-
 Every simulating command also accepts ``--progress`` (a live terminal
 progress line: completed/total cells, throughput, ETA, busy workers)
 and ``--progress-log PATH`` (a machine-readable JSONL heartbeat log);
@@ -110,7 +101,7 @@ from .experiments.reporting import (
     render_trace_counts,
 )
 from .experiments.runner import compare_policies
-from .experiments.simulation import run_simulation
+from .experiments.simulation import fallback_reasons, run_simulation
 from .sim.tracing import TRACE_CATEGORIES
 
 
@@ -200,13 +191,6 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         "serial; results are identical for any value)",
     )
     parser.add_argument(
-        "--engine-mode", choices=("event", "fastforward"), default="event",
-        help="dispatch engine: 'event' (reference) or 'fastforward' "
-        "(hybrid fluid/event batch-advance; bit-identical results, "
-        "faster on eligible configs, automatic per-config fallback "
-        "otherwise)",
-    )
-    parser.add_argument(
         "--progress", action=argparse.BooleanOptionalAction, default=False,
         help="show a live progress line (cells done, cells/s, ETA, busy "
         "workers) on stderr; results are identical either way",
@@ -293,6 +277,11 @@ def _listen_hint(address) -> None:
     )
 
 
+def _engine_mode(config: SimulationConfig) -> str:
+    """The engine a run of ``config`` takes, for its manifest."""
+    return "event" if fallback_reasons(config) else "fastforward"
+
+
 def _executor(args: argparse.Namespace, progress, workers=None):
     """The executor a simulating command asked for, flags applied."""
     directory, every = _checkpoint_options(args)
@@ -302,7 +291,6 @@ def _executor(args: argparse.Namespace, progress, workers=None):
         progress=progress,
         checkpoint_dir=directory,
         checkpoint_every=every,
-        engine_mode=getattr(args, "engine_mode", "event"),
         backend=backend,
         listen=getattr(args, "listen", None),
         lease_timeout=getattr(args, "lease_timeout", 30.0),
@@ -427,12 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--halt-at", type=float, default=None, metavar="SIMTIME",
         help="simulate another crash at the first checkpoint boundary "
         "at or past SIMTIME (exit code 3)",
-    )
-    resume_parser.add_argument(
-        "--engine-mode", choices=("event", "fastforward"), default=None,
-        help="dispatch engine for the resumed run (default: the mode "
-        "the checkpoint records; requesting a different mode is "
-        "refused by name)",
     )
 
     trace_parser = sub.add_parser(
@@ -818,7 +800,6 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                 every=checkpoint_every,
                 directory=checkpoint_dir,
                 halt_at=args.halt_at,
-                engine_mode=args.engine_mode,
             )
             if result is None:
                 print(
@@ -829,14 +810,12 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                 return 3
             print(f"[checkpointed bundle written to {checkpoint_dir}]")
         elif progress is not None:
-            executor = ParallelExecutor(
-                workers=1, progress=progress, engine_mode=args.engine_mode
-            )
+            executor = ParallelExecutor(workers=1, progress=progress)
             result = executor.run_simulations(
                 [config], labels=[args.policy]
             )[0]
         else:
-            result = run_simulation(config, engine_mode=args.engine_mode)
+            result = run_simulation(config)
         if args.report:
             from .analysis import full_report
 
@@ -862,7 +841,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                 manifest_path = write_manifest(
                     config,
                     pathlib.Path(f"{base}.manifest.json"),
-                    engine_mode=args.engine_mode,
+                    engine_mode=_engine_mode(config),
                 )
                 print(f"[trace saved to {trace_path}]")
                 print(f"[manifest saved to {manifest_path}]")
@@ -891,11 +870,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
         from .experiments.checkpointing import resume_run
 
         try:
-            result = resume_run(
-                args.bundle,
-                halt_at=args.halt_at,
-                engine_mode=args.engine_mode,
-            )
+            result = resume_run(args.bundle, halt_at=args.halt_at)
         except CheckpointError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -941,7 +916,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                 "wall_time": executor.last_stats.wall_time,
             },
             workers=1,
-            engine_mode=args.engine_mode,
+            engine_mode=_engine_mode(config),
             dispatch=executor.dispatch_info(),
         )
         print(render_result(result))

@@ -187,7 +187,7 @@ def run_with_checkpoints(
     directory: PathLike,
     halt_at: Optional[float] = None,
     stem: str = DEFAULT_STEM,
-    engine_mode: str = "event",
+    engine_mode: str = "fastforward",
 ) -> Optional[SimulationResult]:
     """Run ``config`` with periodic checkpoints into ``directory``.
 
@@ -204,8 +204,8 @@ def run_with_checkpoints(
 
     ``engine_mode`` selects the dispatch engine. Checkpoint cuts and
     digests are identical in either mode (that is the fast-forward
-    equivalence guarantee); the mode is recorded in each checkpoint so
-    a resume defaults to it.
+    equivalence guarantee); each checkpoint records the mode as
+    provenance only.
     """
     if every <= 0:
         raise CheckpointError(
@@ -227,7 +227,7 @@ def resume_run(
     *,
     halt_at: Optional[float] = None,
     stem: str = DEFAULT_STEM,
-    engine_mode: Optional[str] = None,
+    engine_mode: str = "fastforward",
 ) -> Optional[SimulationResult]:
     """Resume the interrupted run checkpointed under ``directory``.
 
@@ -240,13 +240,10 @@ def resume_run(
     to what the uninterrupted run would have returned — or ``None`` if
     ``halt_at`` interrupted the resumed run again.
 
-    ``engine_mode=None`` (default) resumes in the mode the checkpoint
-    was written under. Requesting a *different* mode explicitly is
-    refused up front with a :class:`~repro.errors.CheckpointMismatchError`
-    naming ``engine_mode`` — not because the trajectories would differ
-    (they are bit-identical), but because a cross-mode resume is almost
-    always an operator mistake, and refusing by name beats letting any
-    real divergence surface later as a digest mystery.
+    ``engine_mode`` selects the dispatch engine of the resumed run,
+    whatever mode the checkpoint records: the two modes give
+    bit-identical trajectories, and the digest verification proves it
+    for this run.
 
     Refuses checkpoints written by a different package version: replay
     equivalence is only guaranteed within one engine build, and a silent
@@ -261,12 +258,6 @@ def resume_run(
         raise CheckpointError(
             f"checkpoint was written by repro {checkpoint.engine_version}, "
             f"this is repro {version}; re-run instead of resuming"
-        )
-    if engine_mode is None:
-        engine_mode = checkpoint.engine_mode
-    elif engine_mode != checkpoint.engine_mode:
-        raise CheckpointMismatchError(
-            "engine_mode", checkpoint.engine_mode, engine_mode
         )
     recorded_hash = config_digest(checkpoint.config)
     if recorded_hash != checkpoint.config_hash:
@@ -312,7 +303,7 @@ def make_cell_task(
     config: SimulationConfig,
     directory: PathLike,
     every: float,
-    engine_mode: str = "event",
+    engine_mode: str = "fastforward",
 ) -> CellTask:
     """Build the picklable task tuple for one checkpointed cell."""
     return (
@@ -343,7 +334,7 @@ def run_checkpointed_cell(task: CellTask) -> SimulationResult:
     if len(task) == 3:
         # Task tuples built before the engine_mode slot existed.
         config_dict, directory, every = task
-        engine_mode = "event"
+        engine_mode = "fastforward"
     else:
         config_dict, directory, every, engine_mode = task
     config = config_from_dict(config_dict)
@@ -378,9 +369,6 @@ def run_checkpointed_cell(task: CellTask) -> SimulationResult:
                 config_digest(config_dict),
                 config_digest(checkpoint.config),
             )
-        # The requested mode is passed explicitly: an interrupted cell
-        # resumed under a different --engine-mode refuses by name
-        # (CheckpointMismatchError) instead of silently switching.
         resumed = resume_run(cell_dir, engine_mode=engine_mode)
         assert resumed is not None  # no halt_at in executor cells
         return resumed

@@ -92,7 +92,7 @@ def execute_cell(task: Dict[str, Any]) -> Any:
     processes cannot make CPU-bound cells faster. Pacing is pure
     timing: the result bytes are exactly the unpaced cell's.
     """
-    engine_mode = task.get("engine_mode", "event")
+    engine_mode = task.get("engine_mode", "fastforward")
     pace = task.get("pace")
     start = time.perf_counter() if pace is not None else 0.0
     checkpoint = task.get("checkpoint")

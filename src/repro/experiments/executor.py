@@ -249,9 +249,9 @@ class ParallelExecutor:
         Checkpoint cadence in simulated seconds; required (> 0) when
         ``checkpoint_dir`` is set.
     engine_mode:
-        Dispatch engine for every cell: ``"event"`` (default, the
-        reference per-event engine) or ``"fastforward"`` (the hybrid
-        fluid/event engine of :mod:`repro.sim.fastforward`). Both modes
+        Dispatch engine for every cell: ``"fastforward"`` (default, the
+        hybrid fluid/event engine of :mod:`repro.sim.fastforward`) or
+        ``"event"`` (the reference per-event engine). Both modes
         produce bit-identical results — the purity property the
         executor is built on is mode-independent — so this only changes
         wall-clock time, never outputs.
@@ -288,7 +288,7 @@ class ParallelExecutor:
         progress: Optional[ProgressSink] = None,
         checkpoint_dir: Optional[PathLike] = None,
         checkpoint_every: float = 0.0,
-        engine_mode: str = "event",
+        engine_mode: str = "fastforward",
         backend=None,
         listen=None,
         lease_timeout: float = 30.0,
@@ -514,7 +514,7 @@ class ParallelExecutor:
         """The local (serial / process-pool) simulation batch path."""
         if self.checkpoint_dir is None:
             cell = run_simulation
-            if self.engine_mode != "event":
+            if self.engine_mode != "fastforward":
                 # functools.partial of a module-level function pickles
                 # into worker processes; a lambda would not.
                 cell = functools.partial(

@@ -9,7 +9,7 @@ alarms, and client population, runs the clock, and returns a
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from ..core.estimator import (
     MeasuredEstimator,
@@ -28,7 +28,7 @@ from ..sim.rng import RandomStreams
 from ..sim.tracing import NullTracer, Tracer
 from ..web.monitor import AlarmProtocol, UtilizationMonitor
 from ..workload.dynamics import RotatingHotDomains
-from ..workload.shards import ShardedClientPopulation
+from ..workload.shards import ShardedClientPopulation, fluid_fallback_reasons
 from ..workload.trace import TraceDrivenPopulation
 from .config import SimulationConfig
 from .metrics import MaxUtilizationCollector, SimulationResult
@@ -38,6 +38,24 @@ from .metrics import MaxUtilizationCollector, SimulationResult
 #: ``"fastforward"`` batch-advances quiescent client wakes natively (see
 #: :mod:`repro.sim.fastforward`) with bit-identical trajectories.
 ENGINE_MODES = ("event", "fastforward")
+
+
+def fallback_reasons(config: SimulationConfig) -> List[str]:
+    """Why ``config`` cannot take the fast-forward lane (empty: it can).
+
+    The reasons depend on the configuration alone, so they are known
+    before any engine is built: the trace source has no fluid drain,
+    and the closed population's gate is
+    :func:`~repro.workload.shards.fluid_fallback_reasons`.
+    """
+    if config.workload_source == "trace":
+        return ["trace-workload"]
+    return fluid_fallback_reasons(
+        dynamic_domains=config.hot_rotation_interval > 0,
+        client_address_caching=config.client_address_caching,
+        geography=config.geography != "none",
+        session_model=config.build_session_model(),
+    )
 
 
 class Simulation:
@@ -50,10 +68,18 @@ class Simulation:
     parameter, deliberately not a :class:`SimulationConfig` field: both
     modes produce bit-identical trajectories, so the mode must not leak
     into config hashes, checkpoint digests or result comparisons (it is
-    recorded in checkpoints and provenance manifests instead).
+    recorded in checkpoints and provenance manifests instead). The
+    default, ``"fastforward"``, builds a
+    :class:`~repro.sim.fastforward.FastForwardEnvironment` only when
+    :func:`fallback_reasons` is empty; an ineligible configuration gets
+    the reference :class:`~repro.sim.engine.Environment`, and its
+    reasons are counted in :attr:`engine_info`. ``"event"`` always
+    builds the reference engine.
     """
 
-    def __init__(self, config: SimulationConfig, engine_mode: str = "event"):
+    def __init__(
+        self, config: SimulationConfig, engine_mode: str = "fastforward"
+    ):
         if engine_mode not in ENGINE_MODES:
             raise ConfigurationError(
                 f"unknown engine mode {engine_mode!r}; "
@@ -63,9 +89,15 @@ class Simulation:
         self.engine_mode = engine_mode
         self.spec = parse_policy_name(config.policy)
 
+        reasons = (
+            fallback_reasons(config) if engine_mode == "fastforward" else []
+        )
+        #: Counted reasons this run event-steps although the fast lane
+        #: was requested (reported by :attr:`engine_info`).
+        self.fallbacks = dict.fromkeys(reasons, 1)
         self.env = (
             FastForwardEnvironment()
-            if engine_mode == "fastforward"
+            if engine_mode == "fastforward" and not reasons
             else Environment()
         )
         self.streams = RandomStreams(config.seed)
@@ -251,19 +283,13 @@ class Simulation:
         checkpoint digests and ``repro report --compare`` stay
         mode-agnostic; the provenance manifest records it instead.
         """
-        info = {
+        fast = self.population.engine == "fluid"
+        return {
             "engine_mode": self.engine_mode,
-            "effective_mode": self.engine_mode,
-            "fast_clients": 0,
-            "fallbacks": {},
+            "effective_mode": "fastforward" if fast else "event",
+            "fast_clients": self.population.total_clients if fast else 0,
+            "fallbacks": dict(self.fallbacks),
         }
-        if isinstance(self.env, FastForwardEnvironment):
-            info["fallbacks"] = dict(self.env.fallback_reasons)
-            if self.population.engine == "fluid":
-                info["fast_clients"] = self.population.total_clients
-            else:
-                info["effective_mode"] = "event"
-        return info
 
     @property
     def workload_info(self) -> dict:
@@ -426,12 +452,12 @@ class Simulation:
 
 
 def run_simulation(
-    config: SimulationConfig, engine_mode: str = "event"
+    config: SimulationConfig, engine_mode: str = "fastforward"
 ) -> SimulationResult:
     """Build and run one simulation (the one-call entry point).
 
-    ``engine_mode="fastforward"`` runs the hybrid fluid/event engine
-    (:mod:`repro.sim.fastforward`) — bit-identical results, measurably
-    faster on eligible configurations.
+    Runs the hybrid fluid/event engine (:mod:`repro.sim.fastforward`)
+    by default; ``engine_mode="event"`` runs the reference engine.
+    Results are bit-identical either way.
     """
     return Simulation(config, engine_mode=engine_mode).run()

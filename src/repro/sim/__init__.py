@@ -16,8 +16,8 @@ package; this subpackage provides an equivalent process-oriented engine:
   deterministic run snapshots (see :mod:`repro.experiments.checkpointing`
   for the model-aware driver).
 * :class:`FastForwardEnvironment`, :class:`FluidTask` — the hybrid
-  fluid/event fast-forward engine mode, bit-identical to the reference
-  engine (see :mod:`repro.sim.fastforward`).
+  fluid/event fast-forward engine mode (the default), bit-identical to
+  the reference engine (see :mod:`repro.sim.fastforward`).
 """
 
 from .checkpoint import (

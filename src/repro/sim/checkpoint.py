@@ -136,10 +136,8 @@ class Checkpoint:
     format_version: int = CHECKPOINT_FORMAT_VERSION
     #: Dispatch engine mode the run was started with (``"event"`` or
     #: ``"fastforward"``). Both modes produce bit-identical state
-    #: digests, so this field is provenance, not digested state: resumes
-    #: default to the recorded mode, and an *explicitly requested*
-    #: different mode is refused by name instead of surfacing as a
-    #: digest mystery. Defaulted for checkpoints written before the
+    #: digests, so this field is provenance only: a resume may run in
+    #: either mode. Defaulted for checkpoints written before the
     #: fast-forward engine existed.
     engine_mode: str = "event"
 

@@ -22,11 +22,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 
-try:  # scipy gives exact Student-t quantiles; fall back to normal z.
-    from scipy.stats import t as _student_t
-except ImportError:  # pragma: no cover - scipy is installed in CI
-    _student_t = None
-
 
 class RunningStats:
     """Streaming mean/variance/extremes via Welford's algorithm."""
@@ -179,11 +174,19 @@ class EmpiricalCdf:
 
 
 def _t_quantile(confidence: float, dof: int) -> float:
-    """Two-sided Student-t critical value for ``confidence`` level."""
-    if _student_t is not None:
-        return float(_student_t.ppf(0.5 + confidence / 2.0, dof))
-    # Normal approximation for the (untested) no-scipy fallback.
-    return {0.90: 1.645, 0.95: 1.960, 0.99: 2.576}.get(round(confidence, 2), 1.960)
+    """Two-sided Student-t critical value for ``confidence`` level.
+
+    Exact when scipy is installed, the normal z value otherwise. scipy
+    is imported here, not at module level: loading it takes most of a
+    second, and no simulation computes an interval.
+    """
+    try:
+        from scipy.stats import t as student_t
+    except ImportError:
+        return {0.90: 1.645, 0.95: 1.960, 0.99: 2.576}.get(
+            round(confidence, 2), 1.960
+        )
+    return float(student_t.ppf(0.5 + confidence / 2.0, dof))
 
 
 def batch_means_ci(

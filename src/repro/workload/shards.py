@@ -67,6 +67,9 @@ Fast-forward lane
 
     Ineligible configurations count their fallback reasons on the
     environment and take the event lane inside the same environment.
+    :class:`~repro.experiments.simulation.Simulation` applies the same
+    gate before it builds its engine, so an ineligible configuration
+    runs on the reference environment and never enters this one.
 """
 
 from __future__ import annotations
@@ -98,8 +101,17 @@ _INFINITY = float("inf")
 DEFAULT_SHARD_SIZE = 4096
 
 
-def fluid_fallback_reasons(population) -> List[str]:
-    """Why ``population`` cannot take the fast-forward lane (empty = eligible).
+def fluid_fallback_reasons(
+    *,
+    dynamic_domains: bool,
+    client_address_caching: bool,
+    geography: bool,
+    session_model,
+) -> List[str]:
+    """Why a closed population cannot take the fast-forward lane.
+
+    Takes what the population is built with, so the answer is known
+    before any engine is built; an empty list means eligible.
 
     Each named feature would make :meth:`ShardClientWake.drain` diverge
     from the reference generator, so its presence forces event-stepping:
@@ -116,17 +128,16 @@ def fluid_fallback_reasons(population) -> List[str]:
         RNG arithmetic the drain inlines.
     """
     reasons = []
-    if not population.dynamics.is_static:
+    if dynamic_domains:
         reasons.append("dynamic-domains")
-    if population.client_address_caching:
+    if client_address_caching:
         reasons.append("client-address-caching")
-    if population.layout is not None:
+    if geography:
         reasons.append("geography")
-    model = population.session_model
     if not (
-        type(model.pages_per_session) is Geometric
-        and type(model.hits_per_page) is DiscreteUniform
-        and type(model.think_time) is Exponential
+        type(session_model.pages_per_session) is Geometric
+        and type(session_model.hits_per_page) is DiscreteUniform
+        and type(session_model.think_time) is Exponential
     ):
         reasons.append("session-model")
     return reasons
@@ -455,7 +466,12 @@ class ShardedClientPopulation(ClientPopulation):
         # *local* reference after nulling the attribute.
         self._cb = [self._on_wake]
         if isinstance(env, FastForwardEnvironment):
-            reasons = fluid_fallback_reasons(self)
+            reasons = fluid_fallback_reasons(
+                dynamic_domains=not self.dynamics.is_static,
+                client_address_caching=self.client_address_caching,
+                geography=self.layout is not None,
+                session_model=self.session_model,
+            )
             if reasons:
                 for reason in reasons:
                     env.count_fallback(reason)

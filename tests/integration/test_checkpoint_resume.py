@@ -47,6 +47,7 @@ from repro.experiments.checkpointing import (
     verify_checkpoint,
 )
 from repro.experiments.config import SimulationConfig
+from repro.experiments.executor import ParallelExecutor
 from repro.experiments.simulation import Simulation, run_simulation
 from repro.sim.checkpoint import (
     config_digest,
@@ -181,6 +182,34 @@ def test_executor_cell_runs_resumes_and_reloads(tmp_path, straight_result):
     # A second call must reload the finished bundle — including the
     # trace — rather than recompute, and still compare equal.
     assert run_checkpointed_cell(task) == straight_result
+
+
+def test_event_checkpoint_resumes_under_the_executor_default(
+    tmp_path, straight_result
+):
+    """A cell checkpointed on the reference lane resumes on the default.
+
+    Checkpoints written before fast-forward became the default all
+    record ``engine_mode="event"``; an interrupted grid of them must
+    finish under the executor's default lane, bit-identically.
+    """
+    config = small_config()
+    assert (
+        run_with_checkpoints(
+            config,
+            every=40.0,
+            directory=tmp_path / "cell-0000",
+            halt_at=80.0,
+            engine_mode="event",
+        )
+        is None
+    )
+    executor = ParallelExecutor(checkpoint_dir=tmp_path, checkpoint_every=40.0)
+    assert executor.run_simulations([config]) == [straight_result]
+    manifest = json.loads(
+        (tmp_path / "cell-0000" / "run.manifest.json").read_text()
+    )
+    assert manifest["engine_mode"] == "fastforward"
 
 
 def test_executor_cell_rejects_colliding_directory(tmp_path):

@@ -106,7 +106,9 @@ def fingerprint_result(result) -> dict:
 
 def compute_fingerprint() -> dict:
     """Run the golden config and fingerprint the result."""
-    return fingerprint_result(run_simulation(SimulationConfig(**GOLDEN_CONFIG)))
+    return fingerprint_result(
+        run_simulation(SimulationConfig(**GOLDEN_CONFIG), engine_mode="event")
+    )
 
 
 REGENERATE_HINT = (
@@ -205,10 +207,14 @@ def test_golden_trajectory_survives_midpoint_resume(tmp_path):
     config = SimulationConfig(**GOLDEN_CONFIG)
     midpoint = GOLDEN_CONFIG["duration"] / 2
     halted = run_with_checkpoints(
-        config, every=midpoint / 2, directory=tmp_path, halt_at=midpoint
+        config,
+        every=midpoint / 2,
+        directory=tmp_path,
+        halt_at=midpoint,
+        engine_mode="event",
     )
     assert halted is None, "the golden run must halt at its midpoint"
-    resumed = fingerprint_result(resume_run(tmp_path))
+    resumed = fingerprint_result(resume_run(tmp_path, engine_mode="event"))
     for key in golden:
         assert resumed[key] == golden[key], (
             f"resumed trajectory diverged from the fixture in {key!r}"

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.simulation import Simulation, run_simulation
+from repro.sim.engine import Environment
 
 
 def trace_config(**overrides):
@@ -93,7 +94,8 @@ class TestDeterminism:
         event = run_simulation(config, engine_mode="event")
         sim = Simulation(config, engine_mode="fastforward")
         fastforward = sim.run()
-        assert sim.engine_info["fallbacks"].get("trace-workload") == 1
+        assert type(sim.env) is Environment
+        assert sim.engine_info["fallbacks"] == {"trace-workload": 1}
         assert event.total_hits == fastforward.total_hits
         assert event.metrics == fastforward.metrics
 

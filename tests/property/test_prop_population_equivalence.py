@@ -51,7 +51,7 @@ def fingerprint(result) -> str:
 
 
 def midrun_digest(config) -> str:
-    sim = Simulation(config)
+    sim = Simulation(config, engine_mode="event")
     sim.advance(config.duration / 2)
     return state_digest(sim.snapshot_state())
 
@@ -61,8 +61,10 @@ class TestPopulationEquivalence:
     @common
     def test_results_are_bit_identical(self, config):
         with reference_population():
-            reference = run_simulation(config)
-        assert fingerprint(reference) == fingerprint(run_simulation(config))
+            reference = run_simulation(config, engine_mode="event")
+        assert fingerprint(reference) == fingerprint(
+            run_simulation(config, engine_mode="event")
+        )
 
     @given(configs)
     @common

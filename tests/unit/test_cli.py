@@ -187,6 +187,21 @@ class TestExtendedCommands:
         out = capsys.readouterr().out
         assert "trace category" in out
 
+    @pytest.mark.parametrize(
+        "geography, engine", [("none", "fastforward"), ("random", "event")]
+    )
+    def test_trace_manifest_records_the_engine_taken(
+        self, capsys, tmp_path, geography, engine
+    ):
+        from repro.obs import read_manifest
+
+        assert main(
+            ["trace", "RR", "--duration", "60", "--clients", "20",
+             "--geography", geography, "--out", str(tmp_path)]
+        ) == 0
+        manifest = read_manifest(tmp_path / "run.manifest.json")
+        assert manifest["engine_mode"] == engine
+
     def test_trace_inspect_summarizes_existing_file(self, capsys, tmp_path):
         out_dir = tmp_path / "bundle"
         assert main(

@@ -311,6 +311,24 @@ class TestPacedCells:
         assert elapsed >= 0.3
         assert result_to_dict(paced) == result_to_dict(plain)
 
+    def test_task_without_engine_mode_runs_the_fast_lane(self, monkeypatch):
+        from repro.experiments.dispatch import worker
+        from repro.experiments.persistence import config_to_dict
+
+        modes = []
+
+        def recording_run(config, engine_mode):
+            modes.append(engine_mode)
+            return run_simulation(config, engine_mode=engine_mode)
+
+        monkeypatch.setattr(worker, "run_simulation", recording_run)
+        config = SimulationConfig(policy="RR", duration=30.0, seed=3)
+        result = worker.execute_cell({"config": config_to_dict(config)})
+        assert modes == ["fastforward"]
+        assert result_to_dict(result) == result_to_dict(
+            run_simulation(config, engine_mode="event")
+        )
+
     def test_backend_stamps_pace_into_cell_specs(self):
         import types
 

@@ -5,22 +5,21 @@ Hypothesis equivalence harness
 (``tests/property/test_prop_fastforward_equivalence.py``); this file
 covers the machinery around them: task-class registration, the fallback
 gate and its counters, reference behaviour with no tasks registered,
-``step()``/``run()`` agreement, engine provenance, and the run-control
-plumbing (executor validation, manifests, cross-mode resume refusal).
+``step()``/``run()`` agreement, engine provenance, the default lane,
+and the run-control plumbing (executor validation, manifests,
+cross-mode resume).
 """
 
+import json
 from heapq import heapreplace
 
 import pytest
 
-from repro.errors import (
-    CheckpointMismatchError,
-    ConfigurationError,
-    SimulationError,
-)
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.checkpointing import resume_run, run_with_checkpoints
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import ParallelExecutor
+from repro.experiments.persistence import result_to_dict
 from repro.experiments.simulation import Simulation, run_simulation
 from repro.obs.provenance import build_manifest
 from repro.sim.engine import EmptySchedule, Environment
@@ -190,9 +189,9 @@ def _eligible_population_stub():
     )
 
     return _Stub(
-        dynamics=_Stub(is_static=True),
+        dynamic_domains=False,
         client_address_caching=False,
-        layout=None,
+        geography=False,
         session_model=_Stub(
             pages_per_session=Geometric(8.0),
             hits_per_page=DiscreteUniform(5, 15),
@@ -203,17 +202,17 @@ def _eligible_population_stub():
 
 class TestFallbackGate:
     def test_eligible_population_has_no_reasons(self):
-        assert fluid_fallback_reasons(_eligible_population_stub()) == []
+        assert fluid_fallback_reasons(**vars(_eligible_population_stub())) == []
 
     def test_each_ineligible_feature_is_named(self):
         from repro.sim.distributions import Constant
 
         population = _eligible_population_stub()
-        population.dynamics = _Stub(is_static=False)
+        population.dynamic_domains = True
         population.client_address_caching = True
-        population.layout = object()
+        population.geography = True
         population.session_model.pages_per_session = Constant(3.0)
-        assert fluid_fallback_reasons(population) == [
+        assert fluid_fallback_reasons(**vars(population)) == [
             "dynamic-domains",
             "client-address-caching",
             "geography",
@@ -230,11 +229,23 @@ class TestFallbackGate:
         )
         sim = Simulation(config, engine_mode="fastforward")
         sim.run()
+        assert type(sim.env) is Environment
         info = sim.engine_info
         assert info["engine_mode"] == "fastforward"
         assert info["effective_mode"] == "event"
         assert info["fast_clients"] == 0
         assert info["fallbacks"] == {"client-address-caching": 1}
+
+    def test_default_is_the_fast_lane(self):
+        config = SimulationConfig(policy="DRR2-TTL/S_K", duration=120.0, seed=5)
+        sim = Simulation(config)
+        result = sim.run()
+        assert type(sim.env) is FastForwardEnvironment
+        info = sim.engine_info
+        assert info["effective_mode"] == "fastforward"
+        assert info["fast_clients"] == config.total_clients
+        reference = run_simulation(config, engine_mode="event")
+        assert result_to_dict(result) == result_to_dict(reference)
 
     def test_eligible_run_reports_fluid_engine(self):
         config = SimulationConfig(
@@ -251,7 +262,7 @@ class TestFallbackGate:
         config = SimulationConfig(
             policy="RR", duration=60.0, total_clients=30, seed=5
         )
-        sim = Simulation(config)
+        sim = Simulation(config, engine_mode="event")
         sim.run()
         info = sim.engine_info
         assert info == {
@@ -281,7 +292,7 @@ class TestRunControlPlumbing:
         config = SimulationConfig(policy="RR", duration=60.0)
         assert "engine_mode" not in build_manifest(config)
 
-    def test_cross_mode_resume_refuses_by_name(self, tmp_path):
+    def test_cross_mode_resume_is_bit_identical(self, tmp_path):
         config = SimulationConfig(
             policy="RR", duration=120.0, total_clients=30, seed=5
         )
@@ -293,10 +304,11 @@ class TestRunControlPlumbing:
             engine_mode="fastforward",
         )
         assert halted is None
-        with pytest.raises(CheckpointMismatchError, match="engine_mode"):
-            resume_run(tmp_path, engine_mode="event")
+        resumed = resume_run(tmp_path, engine_mode="event")
+        reference = run_simulation(config, engine_mode="event")
+        assert result_to_dict(resumed) == result_to_dict(reference)
 
-    def test_resume_defaults_to_the_recorded_mode(self, tmp_path):
+    def test_plain_resume_runs_the_fast_lane(self, tmp_path):
         config = SimulationConfig(
             policy="RR", duration=120.0, total_clients=30, seed=5
         )
@@ -305,9 +317,10 @@ class TestRunControlPlumbing:
             every=30.0,
             directory=tmp_path,
             halt_at=60.0,
-            engine_mode="fastforward",
+            engine_mode="event",
         )
         resumed = resume_run(tmp_path)
         reference = run_simulation(config, engine_mode="event")
-        assert resumed.total_hits == reference.total_hits
-        assert resumed.metrics == reference.metrics
+        assert result_to_dict(resumed) == result_to_dict(reference)
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert manifest["engine_mode"] == "fastforward"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.sim.stats import (
     EmpiricalCdf,
     RunningStats,
     TimeWeightedStats,
+    _t_quantile,
     batch_means_ci,
     relative_ci_width,
 )
@@ -158,3 +160,25 @@ class TestBatchMeansCi:
 
     def test_relative_ci_width_zero_mean(self):
         assert relative_ci_width([0.0] * 100) is None
+
+
+class TestTQuantile:
+    """Exact Student-t with scipy, the normal z value without it."""
+
+    @pytest.mark.parametrize(
+        "confidence, expected",
+        [(0.90, 1.7291328115213682), (0.95, 2.0930240544083087),
+         (0.99, 2.8609346064649794)],
+    )
+    def test_exact_t_with_scipy(self, confidence, expected):
+        pytest.importorskip("scipy.stats")
+        assert _t_quantile(confidence, 19) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "confidence, expected",
+        [(0.90, 1.645), (0.95, 1.960), (0.99, 2.576), (0.80, 1.960)],
+    )
+    def test_normal_z_without_scipy(self, monkeypatch, confidence, expected):
+        # A None entry makes ``import scipy.stats`` raise ImportError.
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        assert _t_quantile(confidence, 19) == expected
